@@ -2,11 +2,17 @@
 
 #include <bit>
 #include <cmath>
+#include <optional>
 #include <string>
 
 #ifdef __linux__
+#include <linux/futex.h>
 #include <pthread.h>
 #include <sched.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
+#include <climits>
 #endif
 
 #include "cache/request_key.hpp"
@@ -34,22 +40,6 @@ EngineMetrics::EngineMetrics(std::size_t workers, std::size_t queue_capacity)
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     workers_.push_back(std::make_unique<WorkerCounters>());
-  }
-}
-
-void EngineMetrics::record_shed(CompletionStatus cause) {
-  switch (cause) {
-    case CompletionStatus::kShedQueueFull:
-      shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case CompletionStatus::kShedDeadline:
-      shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case CompletionStatus::kShutdown:
-      shed_shutdown_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case CompletionStatus::kDecided:
-      break;  // not a shed
   }
 }
 
@@ -83,11 +73,8 @@ void EngineMetrics::reset() {
   submitted_.store(0, std::memory_order_relaxed);
   decided_.store(0, std::memory_order_relaxed);
   version_evictions_.store(0, std::memory_order_relaxed);
-  shed_queue_full_.store(0, std::memory_order_relaxed);
-  shed_deadline_.store(0, std::memory_order_relaxed);
-  shed_shutdown_.store(0, std::memory_order_relaxed);
+  for (auto& count : sheds_) count.store(0, std::memory_order_relaxed);
   adoptions_.store(0, std::memory_order_relaxed);
-  queue_depth_.store(0, std::memory_order_relaxed);
   for (const auto& w : workers_) {
     w->ops.store(0, std::memory_order_relaxed);
     w->batches.store(0, std::memory_order_relaxed);
@@ -106,11 +93,13 @@ EngineMetrics::Snapshot EngineMetrics::snapshot() const {
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.decided = decided_.load(std::memory_order_relaxed);
   s.version_evictions = version_evictions_.load(std::memory_order_relaxed);
-  s.shed_queue_full = shed_queue_full_.load(std::memory_order_relaxed);
-  s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-  s.shed_shutdown = shed_shutdown_.load(std::memory_order_relaxed);
+  const auto shed = [this](CompletionStatus cause) {
+    return sheds_[static_cast<std::size_t>(cause)].load(std::memory_order_relaxed);
+  };
+  s.shed_queue_full = shed(CompletionStatus::kShedQueueFull);
+  s.shed_deadline = shed(CompletionStatus::kShedDeadline);
+  s.shed_shutdown = shed(CompletionStatus::kShutdown);
   s.snapshot_adoptions = adoptions_.load(std::memory_order_relaxed);
-  s.queue_depth = queue_depth_.load(std::memory_order_relaxed);
   s.queue_capacity = queue_capacity_;
 
   std::uint64_t batches = 0;
@@ -159,6 +148,68 @@ EngineMetrics::Snapshot EngineMetrics::snapshot() const {
 // DecisionEngine
 // ---------------------------------------------------------------------
 
+namespace {
+
+/// Records a span on a head-sampled request's trace (at_ns 0 = now). The
+/// untraced path pays the null check only — no clock read.
+inline void record_span(obs::Trace* trace, obs::SpanKind kind, std::uint64_t at_ns,
+                        std::uint64_t a, std::uint64_t b = 0, std::uint64_t c = 0) {
+  if (trace == nullptr) return;
+  if (obs::Span* s = trace->record(kind, at_ns != 0 ? at_ns : obs::monotonic_ns())) {
+    s->a = a;
+    s->b = b;
+    s->c = c;
+  }
+}
+
+// Parking on the engine's epoch word. On Linux these are raw futex
+// calls: std::atomic::wait spins and calls sched_yield a few times before
+// it sleeps, which an engine that parks between requests would pay on
+// every request. park may return spuriously; callers re-check.
+void park(std::atomic<std::uint32_t>& epoch, std::uint32_t seen) {
+#ifdef __linux__
+  static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t));
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&epoch), FUTEX_WAIT_PRIVATE, seen,
+          nullptr, nullptr, 0);
+#else
+  epoch.wait(seen, std::memory_order_acquire);
+#endif
+}
+
+/// Bumps the epoch and wakes one / every worker parked on it.
+void wake(std::atomic<std::uint32_t>& epoch, bool all) {
+  epoch.fetch_add(1, std::memory_order_release);
+#ifdef __linux__
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&epoch), FUTEX_WAKE_PRIVATE,
+          all ? INT_MAX : 1, nullptr, nullptr, 0);
+#else
+  all ? epoch.notify_all() : epoch.notify_one();
+#endif
+}
+
+std::uint64_t to_ns(std::chrono::steady_clock::duration d) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+}
+
+/// Indeterminate{DP} carrying `message`: every shed and fail-safe answer.
+EngineResult fail_safe(CompletionStatus status, const char* message) {
+  EngineResult r;
+  r.status = status;
+  r.decision = core::Decision::indeterminate(core::IndeterminateExtent::kDP,
+                                             core::Status::processing_error(message));
+  return r;
+}
+
+EngineResult shed_result(CompletionStatus status) {
+  const char* message = kShutdownMessage;
+  if (status == CompletionStatus::kShedQueueFull) message = kShedQueueFullMessage;
+  if (status == CompletionStatus::kShedDeadline) message = kShedDeadlineMessage;
+  return fail_safe(status, message);
+}
+
+}  // namespace
+
 DecisionEngine::DecisionEngine(SnapshotPublisher& publisher, EngineConfig config,
                                cache::DecisionCache* cache)
     : publisher_(publisher),
@@ -170,6 +221,12 @@ DecisionEngine::DecisionEngine(SnapshotPublisher& publisher, EngineConfig config
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
   config_.max_batch = std::max<std::size_t>(1, config_.max_batch);
   adopted_versions_ = std::make_unique<AdoptedVersion[]>(config_.workers);
+  const std::size_t slots = std::bit_ceil(config_.queue_capacity);
+  slots_ = std::make_unique<Slot[]>(slots);
+  slot_mask_ = slots - 1;
+  for (std::size_t i = 0; i < slots; ++i) {
+    slots_[i].sequence.store(i, std::memory_order_relaxed);
+  }
   threads_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
@@ -177,17 +234,6 @@ DecisionEngine::DecisionEngine(SnapshotPublisher& publisher, EngineConfig config
 }
 
 DecisionEngine::~DecisionEngine() { shutdown(Drain::kDrain); }
-
-EngineResult DecisionEngine::shed_result(CompletionStatus status) {
-  EngineResult r;
-  r.status = status;
-  const char* message = kShutdownMessage;
-  if (status == CompletionStatus::kShedQueueFull) message = kShedQueueFullMessage;
-  if (status == CompletionStatus::kShedDeadline) message = kShedDeadlineMessage;
-  r.decision = core::Decision::indeterminate(core::IndeterminateExtent::kDP,
-                                             core::Status::processing_error(message));
-  return r;
-}
 
 std::future<EngineResult> DecisionEngine::submit(core::RequestContext request) {
   return submit(std::move(request), config_.default_deadline_ms);
@@ -226,61 +272,84 @@ void DecisionEngine::submit(core::RequestContext request, Callback callback,
     if (handle.sampled) {
       job.trace = std::make_unique<obs::Trace>();
       job.trace->trace_id = handle.id;
-      job.trace->started_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              now.time_since_epoch())
-              .count());
+      job.trace->started_ns = to_ns(now.time_since_epoch());
       job.trace->record(obs::SpanKind::kAdmission, job.trace->started_ns);
     }
   }
 
-  CompletionStatus shed = CompletionStatus::kDecided;
-  {
-    std::lock_guard lock(mutex_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      shed = CompletionStatus::kShutdown;
-    } else if (queue_.size() >= config_.queue_capacity) {
-      shed = CompletionStatus::kShedQueueFull;
-    } else {
-      queue_.push_back(std::move(job));
-      metrics_.set_queue_depth(queue_.size());
-    }
-  }
-  if (shed != CompletionStatus::kDecided) {
+  const CompletionStatus refused = admit();
+  if (refused != CompletionStatus::kDecided) {
     // Deterministic admission control: the submitter learns immediately,
     // on its own thread, that this request was refused.
-    metrics_.record_shed(shed);
-    EngineResult result = shed_result(shed);
-    result.trace_id = job.trace_id;
-    publish_trace(job, result, obs::Trace::kNoWorker);
-    invoke_callback(job.callback, std::move(result));
+    complete(job, shed_result(refused), obs::Trace::kNoWorker);
     return;
   }
-  ready_.notify_one();
+  enqueue(std::move(job));
+}
+
+CompletionStatus DecisionEngine::admit() {
+  std::uint64_t word = admission_.load(std::memory_order_relaxed);
+  do {
+    if ((word & kClosedBit) != 0) return CompletionStatus::kShutdown;
+    if (word >= config_.queue_capacity) return CompletionStatus::kShedQueueFull;
+  } while (!admission_.compare_exchange_weak(word, word + 1, std::memory_order_seq_cst,
+                                             std::memory_order_relaxed));
+  return CompletionStatus::kDecided;
+}
+
+void DecisionEngine::enqueue(Job&& job) {
+  // Admission already reserved room, so the position is claimed outright.
+  // The slot it wraps onto was popped (the count bounds occupied slots),
+  // but its worker may still be moving the job out: wait for the hand-back.
+  const std::uint64_t pos = enqueue_pos_.fetch_add(1, std::memory_order_relaxed);
+  Slot& slot = slots_[pos & slot_mask_];
+  while (slot.sequence.load(std::memory_order_acquire) != pos) std::this_thread::yield();
+  slot.job = std::move(job);
+  slot.sequence.store(pos + 1, std::memory_order_release);
+  // Admit-then-check, paired with the worker's register-then-recheck in
+  // pop_batch (see the header comment): the seq_cst CAS in admit() and
+  // this seq_cst load order the producer's side.
+  if (sleepers_.load(std::memory_order_seq_cst) != 0) wake(epoch_, /*all=*/false);
+}
+
+std::size_t DecisionEngine::take_batch(std::vector<Job>& out, std::size_t max) {
+  std::uint64_t head = dequeue_pos_.load(std::memory_order_relaxed);
+  std::size_t n = 0;
+  do {  // count the published run at the head, then claim it whole
+    n = 0;
+    while (n < max && slots_[(head + n) & slot_mask_].sequence.load(
+                          std::memory_order_acquire) == head + n + 1) {
+      ++n;
+    }
+    if (n == 0) return 0;
+  } while (
+      !dequeue_pos_.compare_exchange_weak(head, head + n, std::memory_order_relaxed));
+  for (std::uint64_t pos = head; pos < head + n; ++pos) {
+    Slot& slot = slots_[pos & slot_mask_];
+    out.push_back(std::move(slot.job));
+    slot.sequence.store(pos + slot_mask_ + 1, std::memory_order_release);
+  }
+  admission_.fetch_sub(n, std::memory_order_release);
+  return n;
 }
 
 void DecisionEngine::shutdown(Drain drain) {
   std::lock_guard shutdown_lock(shutdown_mutex_);
-  std::vector<Job> discarded;
-  {
-    std::lock_guard lock(mutex_);
-    stopping_.store(true, std::memory_order_release);
-    if (drain == Drain::kDiscard) {
-      discarded.reserve(queue_.size());
-      while (!queue_.empty()) {
-        discarded.push_back(std::move(queue_.front()));
-        queue_.pop_front();
+  admission_.fetch_or(kClosedBit, std::memory_order_acq_rel);
+  wake(epoch_, /*all=*/true);
+  if (drain == Drain::kDiscard) {
+    // Take what is queued, racing the workers: a job a worker wins is
+    // decided, as one it popped just before the close would be.
+    // Submitters admitted just before the close stay counted until their
+    // job is popped.
+    std::vector<Job> discarded;
+    while (queue_depth() != 0) {
+      discarded.clear();
+      if (take_batch(discarded, slot_mask_ + 1) == 0) std::this_thread::yield();
+      for (Job& job : discarded) {
+        complete(job, shed_result(CompletionStatus::kShutdown), obs::Trace::kNoWorker);
       }
-      metrics_.set_queue_depth(0);
     }
-  }
-  ready_.notify_all();
-  for (Job& job : discarded) {
-    metrics_.record_shed(CompletionStatus::kShutdown);
-    EngineResult result = shed_result(CompletionStatus::kShutdown);
-    result.trace_id = job.trace_id;
-    publish_trace(job, result, obs::Trace::kNoWorker);
-    invoke_callback(job.callback, std::move(result));
   }
   if (!joined_) {
     for (std::thread& t : threads_) {
@@ -290,30 +359,22 @@ void DecisionEngine::shutdown(Drain drain) {
   }
 }
 
-std::size_t DecisionEngine::queue_depth() const {
-  std::lock_guard lock(mutex_);
-  return queue_.size();
-}
-
 bool DecisionEngine::pop_batch(Worker& worker) {
-  std::unique_lock lock(mutex_);
-  ready_.wait(lock, [this] {
-    return stopping_.load(std::memory_order_relaxed) || !queue_.empty();
-  });
-  if (queue_.empty()) return false;  // stopping and drained
-  const std::size_t n = std::min(config_.max_batch, queue_.size());
-  worker.jobs.clear();
-  worker.jobs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    worker.jobs.push_back(std::move(queue_.front()));
-    queue_.pop_front();
+  for (;;) {
+    if (take_batch(worker.jobs, config_.max_batch) != 0) return true;
+    if (admission_.load(std::memory_order_acquire) == kClosedBit) return false;
+    // Eventcount: register, read the epoch, re-check, then wait. Park
+    // only on an open, empty engine; a non-zero count means a job is
+    // being published (or a closed engine still drains), so retry.
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    const std::uint32_t epoch = epoch_.load(std::memory_order_acquire);
+    if (admission_.load(std::memory_order_seq_cst) == 0) {
+      park(epoch_, epoch);
+    } else {
+      std::this_thread::yield();
+    }
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
   }
-  metrics_.set_queue_depth(queue_.size());
-  // More work than one batch: wake a sibling before evaluating.
-  const bool more = !queue_.empty();
-  lock.unlock();
-  if (more) ready_.notify_one();
-  return true;
 }
 
 void DecisionEngine::adopt_snapshot(std::size_t index, Worker& worker) {
@@ -368,20 +429,28 @@ void DecisionEngine::maybe_sweep_cache() {
   }
 }
 
-void DecisionEngine::complete(Job& job, EngineResult result, std::size_t worker_index,
-                              bool count_as_decided) {
-  if (count_as_decided) {
-    const auto latency = SteadyClock::now() - job.enqueued;
-    metrics_.record_decided(
-        worker_index,
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(latency).count()));
+void DecisionEngine::complete(Job& job, EngineResult result, std::uint32_t worker) {
+  if (result.status == CompletionStatus::kDecided) {
+    metrics_.record_decided(worker, to_ns(SteadyClock::now() - job.enqueued));
   } else {
     metrics_.record_shed(result.status);
   }
   result.trace_id = job.trace_id;
-  publish_trace(job, result, static_cast<std::uint32_t>(worker_index));
-  invoke_callback(job.callback, std::move(result));
+  publish_trace(job, result, worker);
+  // A throwing completion callback must never take down its caller — a
+  // worker (and with it every queued request), shutdown()'s discard
+  // loop, or a submitter mid-shed. catch (...) on purpose: the promise
+  // path never throws, and arbitrary user callbacks can throw anything.
+  const std::uint64_t trace_id = result.trace_id;
+  try {
+    job.callback(std::move(result));
+  } catch (const std::exception& e) {
+    common::log_error("runtime: completion callback threw",
+                      {{"trace", trace_id}, {"what", e.what()}});
+  } catch (...) {
+    common::log_error("runtime: completion callback threw a non-exception value",
+                      {{"trace", trace_id}});
+  }
 }
 
 void DecisionEngine::publish_trace(Job& job, const EngineResult& result,
@@ -399,10 +468,7 @@ void DecisionEngine::publish_trace(Job& job, const EngineResult& result,
     // acceptable (anomalies are the exception, not the throughput).
     if (!anomaly || !tracer->always_sample_anomalies()) return;
     synthesized.trace_id = job.trace_id;
-    synthesized.started_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            job.enqueued.time_since_epoch())
-            .count());
+    synthesized.started_ns = to_ns(job.enqueued.time_since_epoch());
     synthesized.record(obs::SpanKind::kAdmission, synthesized.started_ns);
     trace = &synthesized;
   }
@@ -412,20 +478,10 @@ void DecisionEngine::publish_trace(Job& job, const EngineResult& result,
   trace->snapshot_version = result.snapshot_version;
   trace->cache_level = result.cache_level;
   trace->decision = result.decision.type;
-  switch (result.status) {
-    case CompletionStatus::kDecided:
-      trace->outcome = obs::TraceOutcome::kDecided;
-      break;
-    case CompletionStatus::kShedQueueFull:
-      trace->outcome = obs::TraceOutcome::kShedQueueFull;
-      break;
-    case CompletionStatus::kShedDeadline:
-      trace->outcome = obs::TraceOutcome::kShedDeadline;
-      break;
-    case CompletionStatus::kShutdown:
-      trace->outcome = obs::TraceOutcome::kShutdown;
-      break;
-  }
+  constexpr obs::TraceOutcome kOutcomeOf[] = {  // indexed by CompletionStatus
+      obs::TraceOutcome::kDecided, obs::TraceOutcome::kShedQueueFull,
+      obs::TraceOutcome::kShedDeadline, obs::TraceOutcome::kShutdown};
+  trace->outcome = kOutcomeOf[static_cast<std::size_t>(result.status)];
   if (obs::Span* s = trace->record(obs::SpanKind::kOutcome, trace->finished_ns)) {
     s->set_tag(to_string(result.status));
   }
@@ -433,24 +489,8 @@ void DecisionEngine::publish_trace(Job& job, const EngineResult& result,
   job.trace.reset();
 }
 
-void DecisionEngine::invoke_callback(Callback& callback, EngineResult result) {
-  // A throwing completion callback must never take down its caller — a
-  // worker (and with it every queued request), shutdown()'s discard
-  // loop, or a submitter mid-shed. catch (...) on purpose: the promise
-  // path never throws, and arbitrary user callbacks can throw anything.
-  const std::uint64_t trace_id = result.trace_id;
-  try {
-    callback(std::move(result));
-  } catch (const std::exception& e) {
-    common::log_error("runtime: completion callback threw",
-                      {{"trace", trace_id}, {"what", e.what()}});
-  } catch (...) {
-    common::log_error("runtime: completion callback threw a non-exception value",
-                      {{"trace", trace_id}});
-  }
-}
-
 void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
+  const auto worker_id = static_cast<std::uint32_t>(index);
   metrics_.record_batch(index, worker.jobs.size());
   adopt_snapshot(index, worker);
   const std::uint64_t version = worker.snapshot ? worker.snapshot->version() : 0;
@@ -469,72 +509,49 @@ void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
   worker.pending.clear();
   worker.pending_keys.clear();
   const auto now = SteadyClock::now();
-  const auto now_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(now.time_since_epoch())
-          .count());
+  const std::uint64_t now_ns = to_ns(now.time_since_epoch());
   for (std::size_t i = 0; i < worker.jobs.size(); ++i) {
     Job& job = worker.jobs[i];
-    if (job.trace != nullptr) {  // null on the untraced hot path
-      if (obs::Span* s = job.trace->record(obs::SpanKind::kQueueWait, now_ns)) {
-        s->a = now_ns >= job.trace->started_ns ? now_ns - job.trace->started_ns : 0;
-      }
-      if (obs::Span* s = job.trace->record(obs::SpanKind::kBatch, now_ns)) {
-        s->a = index;
-        s->b = worker.jobs.size();
-      }
+    if (obs::Trace* trace = job.trace.get()) {  // null on the untraced hot path
+      record_span(trace, obs::SpanKind::kQueueWait, now_ns,
+                  now_ns >= trace->started_ns ? now_ns - trace->started_ns : 0);
+      record_span(trace, obs::SpanKind::kBatch, now_ns, index, worker.jobs.size());
     }
     if (job.deadline < now) {
-      complete(job, shed_result(CompletionStatus::kShedDeadline), index,
-               /*count_as_decided=*/false);
+      complete(job, shed_result(CompletionStatus::kShedDeadline), worker_id);
       continue;
     }
     if (cache_ != nullptr && worker.snapshot != nullptr) {
       const cache::RequestKey key = cache::fingerprint(job.request);
-      if (use_l1) {
-        if (const core::Decision* hit = worker.l1.lookup(key, version)) {
-          metrics_.record_l1_hit(index);
-          if (job.trace != nullptr) {
-            if (obs::Span* s = job.trace->record(obs::SpanKind::kCacheProbe,
-                                                 obs::monotonic_ns())) {
-              s->a = 1;  // L1
-            }
-          }
-          EngineResult r;
-          r.decision = *hit;
-          r.snapshot_version = version;
-          r.cache_hit = true;
-          r.cache_level = 1;
-          complete(job, std::move(r), index, /*count_as_decided=*/true);
-          continue;
-        }
-      }
+      std::optional<core::Decision> hit;
+      std::uint8_t level = 1;
       std::uint64_t retries = 0;
-      if (auto hit = cache_->lookup(key, version, worker.group, &retries)) {
-        metrics_.record_l2_hit(index, retries);
-        if (use_l1) worker.l1.insert(key, version, *hit);
-        if (job.trace != nullptr) {
-          if (obs::Span* s = job.trace->record(obs::SpanKind::kCacheProbe,
-                                               obs::monotonic_ns())) {
-            s->a = 2;  // L2
-            s->b = retries;
-          }
+      if (use_l1) {
+        if (const core::Decision* local = worker.l1.lookup(key, version)) hit = *local;
+      }
+      if (!hit) {
+        level = 2;
+        hit = cache_->lookup(key, version, worker.group, &retries);
+        if (hit && use_l1) worker.l1.insert(key, version, *hit);
+      }
+      // Span a = level served (0 = miss), b = seqlock retries.
+      record_span(job.trace.get(), obs::SpanKind::kCacheProbe, 0, hit ? level : 0,
+                  retries);
+      if (hit) {
+        if (level == 1) {
+          metrics_.record_l1_hit(index);
+        } else {
+          metrics_.record_l2_hit(index, retries);
         }
         EngineResult r;
         r.decision = std::move(*hit);
         r.snapshot_version = version;
         r.cache_hit = true;
-        r.cache_level = 2;
-        complete(job, std::move(r), index, /*count_as_decided=*/true);
+        r.cache_level = level;
+        complete(job, std::move(r), worker_id);
         continue;
       }
       metrics_.record_cache_miss(index, retries);
-      if (job.trace != nullptr) {
-        if (obs::Span* s = job.trace->record(obs::SpanKind::kCacheProbe,
-                                             obs::monotonic_ns())) {
-          s->a = 0;  // miss
-          s->b = retries;
-        }
-      }
       worker.pending_keys.push_back(key);
     }
     worker.pending.push_back(i);
@@ -542,17 +559,16 @@ void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
   }
   if (worker.pending.empty()) return;
 
-  if (worker.pdp == nullptr) {
-    // No snapshot was ever published: answer fail-safe, don't crash the
-    // service (the PEP's deny bias turns this into deny).
-    for (std::size_t i = 0; i < worker.pending.size(); ++i) {
-      EngineResult r;
-      r.decision = core::Decision::indeterminate(
-          core::IndeterminateExtent::kDP,
-          core::Status::processing_error(kNoSnapshotMessage));
-      complete(worker.jobs[worker.pending[i]], std::move(r), index,
-               /*count_as_decided=*/true);
+  // Answers every pending request fail-safe (the PEP's deny bias turns
+  // Indeterminate into deny) instead of crashing the service.
+  const auto fail_pending = [&](const std::string& message) {
+    for (const std::size_t job_index : worker.pending) {
+      complete(worker.jobs[job_index],
+               fail_safe(CompletionStatus::kDecided, message.c_str()), worker_id);
     }
+  };
+  if (worker.pdp == nullptr) {  // no snapshot was ever published
+    fail_pending(kNoSnapshotMessage);
     return;
   }
 
@@ -575,37 +591,29 @@ void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
                       {{"worker", static_cast<std::uint64_t>(index)},
                        {"batch", static_cast<std::uint64_t>(worker.pending.size())},
                        {"error", evaluation_error}});
-    for (const std::size_t job_index : worker.pending) {
-      EngineResult r;
-      r.decision = core::Decision::indeterminate(
-          core::IndeterminateExtent::kDP,
-          core::Status::processing_error(evaluation_error));
-      complete(worker.jobs[job_index], std::move(r), index, /*count_as_decided=*/true);
-    }
+    fail_pending(evaluation_error);
     return;
   }
   for (std::size_t i = 0; i < worker.pending.size(); ++i) {
     Job& evaluated = worker.jobs[worker.pending[i]];
-    if (evaluated.trace != nullptr) {
-      if (obs::Span* s =
-              evaluated.trace->record(obs::SpanKind::kEvaluate, obs::monotonic_ns())) {
-        s->a = index;
-        s->b = results[i].partitions_probed;
-        s->c = results[i].compile.compiled_policies;
-      }
-    }
+    record_span(evaluated.trace.get(), obs::SpanKind::kEvaluate, 0, index,
+                results[i].partitions_probed, results[i].compile.compiled_policies);
     EngineResult r;
     r.decision = std::move(results[i].decision);
     r.snapshot_version = version;
-    if (cache_ != nullptr && (r.decision.is_permit() || r.decision.is_deny())) {
+    // Only decisions that read nothing but the request and the snapshot
+    // are cached: a resolver-supplied attribute (a PIP quota, another
+    // domain's attribute) can change without a republication, and the
+    // version-keyed store has no expiry to notice.
+    if (cache_ != nullptr && (r.decision.is_permit() || r.decision.is_deny()) &&
+        results[i].metrics.resolver_calls == 0) {
       // pending_keys[i] was filled alongside pending[i] (cache_ non-null
       // implies the lookup path ran): the fingerprint is computed once
       // per request, shared by the probe and both fills.
       cache_->insert(worker.pending_keys[i], version, r.decision, worker.group);
       if (use_l1) worker.l1.insert(worker.pending_keys[i], version, r.decision);
     }
-    complete(worker.jobs[worker.pending[i]], std::move(r), index,
-             /*count_as_decided=*/true);
+    complete(evaluated, std::move(r), worker_id);
   }
 }
 
@@ -641,6 +649,7 @@ void DecisionEngine::worker_loop(std::size_t index) {
     }
   }
   Worker worker(config_.l1_capacity);
+  worker.jobs.reserve(config_.max_batch);
   // Workers map onto the shared cache's placement groups in contiguous
   // blocks (workers 0..k-1 → group 0, …): each group's slot table is
   // only ever touched by its own workers, and duplication of hot
@@ -656,7 +665,7 @@ void DecisionEngine::worker_loop(std::size_t index) {
 
 std::uint64_t DecisionEngine::register_metrics(obs::Registry& registry) const {
   return registry.add_collector([this](obs::MetricSink& sink) {
-    const EngineMetrics::Snapshot s = metrics_.snapshot();
+    const EngineMetrics::Snapshot s = metrics();
     sink.counter("mdac_engine_submitted_total", "Requests submitted to the engine.",
                  static_cast<double>(s.submitted));
     sink.counter("mdac_engine_decided_total",

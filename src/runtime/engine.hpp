@@ -11,19 +11,21 @@
 //     PolicySnapshot. Workers adopt the latest snapshot only at batch
 //     boundaries, so every decision is computed against exactly one
 //     published policy state.
-//   * A bounded MPMC submission queue with micro-batching: a worker
-//     drains up to `max_batch` requests at once into
-//     Pdp::evaluate_batch, which amortises the staleness probe and keeps
-//     the per-request scratch warm.
-//   * Deterministic overload shedding: a submission that finds the queue
-//     at capacity is *immediately* completed with Indeterminate{DP} and
-//     a distinct status message (kShedQueueFullMessage) instead of
-//     queueing unboundedly — the PEP's fail-safe deny bias then applies
-//     (pep::EnforcementPoint treats Indeterminate as deny). Per-request
-//     deadlines shed the same way at dequeue time: a request that waited
-//     past its deadline is answered, not silently evaluated late.
+//   * Lock-free admission into a preallocated job-slot ring with
+//     micro-batching: a worker drains up to `max_batch` requests at once
+//     into Pdp::evaluate_batch, which amortises the staleness probe and
+//     keeps the per-request scratch warm. See "Admission and the slot
+//     ring" below.
+//   * Deterministic overload shedding: a submission that finds the
+//     engine at its admission bound is *immediately* completed with
+//     Indeterminate{DP} and a distinct status message
+//     (kShedQueueFullMessage) instead of queueing unboundedly — the
+//     PEP's fail-safe deny bias then applies (pep::EnforcementPoint
+//     treats Indeterminate as deny). Per-request deadlines shed the same
+//     way at dequeue time: a request that waited past its deadline is
+//     answered, not silently evaluated late.
 //   * Graceful drain on shutdown: `shutdown(Drain::kDrain)` stops
-//     admission, lets the workers empty the queue, then joins them;
+//     admission, lets the workers empty the ring, then joins them;
 //     `Drain::kDiscard` completes queued requests with kShutdown.
 //   * EngineMetrics: queue depth, sheds by cause, per-worker ops, batch
 //     sizes and completion-latency percentiles — the saturation signals
@@ -50,6 +52,43 @@
 // version any worker still serves), so long-running engines don't
 // accumulate unreachable entries.
 //
+// Admission and the slot ring. Submitters and workers share three
+// lock-free pieces:
+//
+//   * The ring: bit_ceil(queue_capacity) preallocated Job slots, each
+//     with a Vyukov sequence number. A slot at position p is free for a
+//     producer when its sequence reads p, holds a published job when it
+//     reads p + 1, and is handed back for position p + size once a
+//     worker has moved the job out. Submission moves the job into its
+//     slot, so an untraced, admitted submit allocates nothing.
+//   * The admission word: one atomic holding (admitted-not-yet-popped
+//     count | closed bit). Submit CASes the count up only while it is
+//     below queue_capacity (the exact configured bound, not the ring
+//     size) and the closed bit is clear; otherwise the request is shed on
+//     the submitting thread — kShedQueueFull or kShutdown. Workers
+//     subtract what they popped after releasing the slots, so the count
+//     bounds the occupied slots and an admitted producer always gets one
+//     (at worst it yields while a worker finishes moving a job out of
+//     the slot it wraps onto). A racing submitter is therefore either
+//     admitted — and later drained or discarded — or shed; never lost.
+//   * Eventcount parking: a worker that finds the ring empty registers
+//     in `sleepers_` (a seq_cst RMW), reads `epoch_` and re-checks the
+//     admission word with a seq_cst load; it waits on `epoch_` (a futex)
+//     only if the word still reads 0 — open, nothing admitted. A
+//     producer's admission CAS and its later read of `sleepers_` (after
+//     publishing the slot) are seq_cst too, so both sides' store-then-
+//     load pairs sit in the single seq_cst order (Dekker): either the
+//     worker's re-check sees the admission, or the producer sees the
+//     registered sleeper, bumps `epoch_` and wakes one worker — and a
+//     bump the worker missed makes its wait return at once. A wake-up
+//     cannot be lost, and a busy engine pays no syscall per submit. A
+//     non-zero re-check means a job is mid-publish (or a closed engine
+//     is still draining): the worker yields and retries.
+//     Shutdown sets the closed bit and wakes every worker; a worker
+//     exits once the word reads exactly "closed, 0 admitted". A kDiscard
+//     shutdown empties the ring on the calling thread; a job a worker
+//     wins from it meanwhile is decided, as if popped before the close.
+//
 // Completion callbacks run on a worker thread — except shed-on-submit
 // (queue full / shutdown), which completes on the submitting thread
 // before `submit` returns; that is what makes shedding deterministic.
@@ -58,9 +97,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -147,6 +184,9 @@ class EngineMetrics {
     std::uint64_t shed_shutdown = 0;
     std::uint64_t batches = 0;
     std::uint64_t snapshot_adoptions = 0;
+    /// Admitted requests no worker has popped yet. Read from the
+    /// engine's admission word (DecisionEngine::metrics); 0 in
+    /// EngineMetrics' own snapshot, which has no queue to look at.
     std::size_t queue_depth = 0;
     std::size_t queue_capacity = 0;
     std::vector<std::uint64_t> worker_ops;  // decided per worker
@@ -181,7 +221,9 @@ class EngineMetrics {
   EngineMetrics(std::size_t workers, std::size_t queue_capacity);
 
   void record_submitted() { submitted_.fetch_add(1, std::memory_order_relaxed); }
-  void record_shed(CompletionStatus cause);
+  void record_shed(CompletionStatus cause) {
+    sheds_[static_cast<std::size_t>(cause)].fetch_add(1, std::memory_order_relaxed);
+  }
   /// Cache-path counters live in the padded per-worker blocks: the hit
   /// path must not rendezvous all workers on one shared counter line.
   void record_l1_hit(std::size_t worker) {
@@ -203,9 +245,6 @@ class EngineMetrics {
   void record_batch(std::size_t worker, std::size_t batch_size);
   void record_decided(std::size_t worker, std::uint64_t latency_ns);
   void record_adoption() { adoptions_.fetch_add(1, std::memory_order_relaxed); }
-  void set_queue_depth(std::size_t depth) {
-    queue_depth_.store(depth, std::memory_order_relaxed);
-  }
 
   Snapshot snapshot() const;
 
@@ -237,11 +276,9 @@ class EngineMetrics {
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> decided_{0};
   std::atomic<std::uint64_t> version_evictions_{0};
-  std::atomic<std::uint64_t> shed_queue_full_{0};
-  std::atomic<std::uint64_t> shed_deadline_{0};
-  std::atomic<std::uint64_t> shed_shutdown_{0};
+  /// Sheds by cause, indexed by CompletionStatus (kDecided's slot unused).
+  std::array<std::atomic<std::uint64_t>, 4> sheds_{};
   std::atomic<std::uint64_t> adoptions_{0};
-  std::atomic<std::size_t> queue_depth_{0};
   std::vector<std::unique_ptr<WorkerCounters>> workers_;
   /// Completion latency, log2 ns buckets (bucket i covers [2^(i-1), 2^i)).
   std::array<std::atomic<std::uint64_t>, kLatencyBuckets> latency_histogram_{};
@@ -333,10 +370,17 @@ class DecisionEngine {
   /// racers are either admitted and drained, or shed as kShutdown).
   void shutdown(Drain drain = Drain::kDrain);
 
-  bool accepting() const { return !stopping_.load(std::memory_order_acquire); }
+  bool accepting() const {
+    return (admission_.load(std::memory_order_acquire) & kClosedBit) == 0;
+  }
   std::size_t worker_count() const { return config_.workers; }
   std::size_t queue_capacity() const { return config_.queue_capacity; }
-  std::size_t queue_depth() const;
+  /// Admitted requests no worker has popped yet (relaxed read of the
+  /// admission word).
+  std::size_t queue_depth() const {
+    return static_cast<std::size_t>(admission_.load(std::memory_order_relaxed) &
+                                    ~kClosedBit);
+  }
   /// Workers whose core pinning actually took effect (0 when
   /// pin_workers is off, the platform is unsupported, or cores <
   /// workers — the graceful no-op cases).
@@ -348,7 +392,11 @@ class DecisionEngine {
   /// surface (shed_rate, saturation, latency percentiles). Safe from any
   /// thread; the snapshot is consistent-enough (relaxed reads), not a
   /// linearisation point.
-  EngineMetrics::Snapshot metrics() const { return metrics_.snapshot(); }
+  EngineMetrics::Snapshot metrics() const {
+    EngineMetrics::Snapshot s = metrics_.snapshot();
+    s.queue_depth = queue_depth();
+    return s;
+  }
 
   /// See EngineMetrics::reset — quiescent engines only (bench warmup).
   void reset_metrics() { metrics_.reset(); }
@@ -394,8 +442,30 @@ class DecisionEngine {
     std::vector<cache::RequestKey> pending_keys; // fingerprints, parallel to pending
   };
 
+  /// One ring slot: the Vyukov sequence number and the preallocated job.
+  struct Slot {
+    std::atomic<std::uint64_t> sequence{0};
+    Job job;
+  };
+
+  /// Admission word layout: the top bit is "closed", the rest counts
+  /// admitted requests not yet popped by a worker.
+  static constexpr std::uint64_t kClosedBit = std::uint64_t{1} << 63;
+
+  /// Claims one admission under the exact bound; kDecided = admitted,
+  /// otherwise the shed status to complete with.
+  CompletionStatus admit();
+  /// Moves an admitted job into its ring slot and wakes a parked worker
+  /// if one is registered.
+  void enqueue(Job&& job);
+  /// Pops up to `max` published jobs (one CAS for the whole run) into
+  /// `out`, releases their slots and returns how many it took; 0 = the
+  /// ring is empty at the head.
+  std::size_t take_batch(std::vector<Job>& out, std::size_t max);
+
   void worker_loop(std::size_t index);
-  /// Pops up to max_batch jobs into `worker.jobs`; false = exit.
+  /// Pops up to max_batch jobs into `worker.jobs`, parking while the
+  /// ring is empty; false = closed and drained, exit.
   bool pop_batch(Worker& worker);
   /// Re-binds `worker` to the newest snapshot if it changed (the batch
   /// boundary of the RCU scheme); flushes the worker's L1 and triggers
@@ -406,13 +476,13 @@ class DecisionEngine {
   /// entries must survive until they move on).
   void maybe_sweep_cache();
   void process_batch(std::size_t index, Worker& worker);
-  void complete(Job& job, EngineResult result, std::size_t worker_index,
-                bool count_as_decided);
-  /// Runs `callback`, containing anything it throws (every completion
-  /// path — worker, shutdown discard, shed-on-submit — goes through
-  /// here so no user callback can unwind engine internals).
-  static void invoke_callback(Callback& callback, EngineResult result);
-  static EngineResult shed_result(CompletionStatus status);
+  /// The one completion path — decided, deadline-shed, queue-full and
+  /// shutdown sheds alike: accounts the result by its status, publishes
+  /// the job's trace and runs the callback, containing anything it
+  /// throws so no user callback can unwind engine internals. `worker` =
+  /// obs::Trace::kNoWorker for completions that never reached one
+  /// (shed-on-submit, discard); decided results always carry a worker.
+  void complete(Job& job, EngineResult result, std::uint32_t worker);
   /// Finalises and publishes the job's explain trace (if any): stamps
   /// outcome/summary fields, tail-synthesizes a trace for unsampled
   /// anomalies, no-op without a tracer. `worker` = Trace::kNoWorker for
@@ -438,10 +508,17 @@ class DecisionEngine {
   std::atomic<std::uint64_t> swept_below_{0};
   std::atomic<std::size_t> pinned_workers_{0};
 
-  mutable std::mutex mutex_;
-  std::condition_variable ready_;
-  std::deque<Job> queue_;
-  std::atomic<bool> stopping_{false};
+  std::unique_ptr<Slot[]> slots_;
+  std::uint64_t slot_mask_ = 0;
+  /// Written by every submit and every pop; each on its own line so the
+  /// producer and consumer cursors do not false-share with it.
+  alignas(64) std::atomic<std::uint64_t> admission_{0};
+  alignas(64) std::atomic<std::uint64_t> enqueue_pos_{0};
+  alignas(64) std::atomic<std::uint64_t> dequeue_pos_{0};
+  /// Parking: read by every submit, written only when a worker parks or
+  /// is woken — so the line stays shared while the engine is busy.
+  alignas(64) std::atomic<std::uint32_t> sleepers_{0};
+  std::atomic<std::uint32_t> epoch_{0};
   bool joined_ = false;
   std::mutex shutdown_mutex_;  // serialises shutdown() callers
   std::vector<std::thread> threads_;

@@ -5,14 +5,19 @@
 // exactly ONE published snapshot — never a torn mix of two policy
 // states — and sheds happen only at the queue bound, never because of
 // churn. Designed to run under -DMDAC_TSAN=ON (see CMakeLists), where
-// the publisher/worker interleavings are additionally race-checked.
+// the publisher/worker interleavings are additionally race-checked. The
+// slot-ring stress cases at the end race submitters against shutdown,
+// the exact admission bound and the park/unpark path.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +27,7 @@
 #include "core/expression.hpp"
 #include "core/pdp.hpp"
 #include "core/serialization.hpp"
+#include "engine_gate.hpp"
 #include "obs/trace.hpp"
 #include "pap/repository.hpp"
 #include "runtime/engine.hpp"
@@ -508,6 +514,182 @@ TEST(RuntimeChurnTest, SampledTracesStayConsistentUnderRepublication) {
   EXPECT_EQ(audited, static_cast<std::size_t>(kRequests));
   EXPECT_EQ(tracer.published_total(), static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(tracer.ring_dropped_total(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Slot ring and admission word under racing submitters
+// ---------------------------------------------------------------------
+
+/// Counts how each of `n` submissions completed, per submission and per
+/// status, so a test can check that every callback fired exactly once.
+class CompletionLedger {
+ public:
+  explicit CompletionLedger(std::size_t n) : fired_(n) {}
+
+  DecisionEngine::Callback callback(std::size_t i) {
+    return [this, i](EngineResult r) {
+      fired_[i].fetch_add(1, std::memory_order_relaxed);
+      by_status_[static_cast<std::size_t>(r.status)].fetch_add(1, std::memory_order_relaxed);
+    };
+  }
+
+  std::size_t count(CompletionStatus status) const {
+    return by_status_[static_cast<std::size_t>(status)].load();
+  }
+
+  /// Submissions whose callback fired zero times or more than once.
+  std::size_t not_fired_once() const {
+    std::size_t bad = 0;
+    for (const auto& f : fired_) bad += f.load() == 1 ? 0 : 1;
+    return bad;
+  }
+
+ private:
+  std::vector<std::atomic<std::uint32_t>> fired_;
+  std::array<std::atomic<std::size_t>, 4> by_status_{};
+};
+
+/// Every submission was answered exactly once, the engine's counters
+/// agree with the callbacks, and nothing is left admitted.
+void expect_all_answered(const DecisionEngine& engine, const CompletionLedger& ledger,
+                         std::size_t submitted) {
+  EXPECT_EQ(ledger.not_fired_once(), 0u);
+  const EngineMetrics::Snapshot m = engine.metrics();
+  EXPECT_EQ(m.submitted, submitted);
+  EXPECT_EQ(m.decided + m.sheds(), submitted);
+  EXPECT_EQ(m.decided, ledger.count(CompletionStatus::kDecided));
+  EXPECT_EQ(m.shed_queue_full, ledger.count(CompletionStatus::kShedQueueFull));
+  EXPECT_EQ(m.shed_shutdown, ledger.count(CompletionStatus::kShutdown));
+  EXPECT_EQ(engine.queue_depth(), 0u);
+  EXPECT_EQ(m.queue_depth, 0u);
+}
+
+constexpr std::size_t kSubmitters = 4;
+constexpr std::size_t kPerSubmitter = 2000;
+
+/// Starts kSubmitters threads submitting kPerSubmitter requests each;
+/// `submitted` counts submissions that have returned.
+std::vector<std::thread> start_submitters(DecisionEngine& engine, CompletionLedger& ledger,
+                                          std::atomic<std::size_t>& submitted) {
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kSubmitters; ++t) {
+    threads.emplace_back([&engine, &ledger, &submitted, t] {
+      for (std::size_t i = 0; i < kPerSubmitter; ++i) {
+        engine.submit(probe_request(), ledger.callback(t * kPerSubmitter + i));
+        submitted.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  return threads;
+}
+
+TEST(RuntimeChurnTest, SubmittersRacingDrainShutdownAreAllAnswered) {
+  SnapshotPublisher publisher;
+  publisher.publish(make_stamped_store(1));
+  EngineConfig config;
+  config.workers = 2;
+  config.queue_capacity = 256;
+  config.max_batch = 16;
+  DecisionEngine engine(publisher, config);
+
+  constexpr std::size_t kTotal = kSubmitters * kPerSubmitter;
+  CompletionLedger ledger(kTotal);
+  std::atomic<std::size_t> submitted{0};
+  std::vector<std::thread> submitters = start_submitters(engine, ledger, submitted);
+  while (submitted.load() < kTotal / 4) std::this_thread::yield();
+  engine.shutdown(DecisionEngine::Drain::kDrain);
+  for (std::thread& t : submitters) t.join();
+
+  expect_all_answered(engine, ledger, kTotal);
+  EXPECT_EQ(ledger.count(CompletionStatus::kShedDeadline), 0u);
+}
+
+TEST(RuntimeChurnTest, SubmittersRacingDiscardShutdownAreAllAnswered) {
+  GateResolver gate;
+  SnapshotPublisher publisher;
+  publisher.publish(make_gated_store());
+  EngineConfig config;
+  config.workers = 2;
+  config.queue_capacity = 64;
+  config.max_batch = 1;
+  config.resolver = &gate;
+  DecisionEngine engine(publisher, config);
+
+  // Wedge both workers on one request each first, so nothing pops while
+  // the submitters fill the ring: the count only grows until the close.
+  constexpr std::size_t kTotal = kSubmitters * kPerSubmitter;
+  CompletionLedger ledger(kTotal + config.workers);
+  for (std::size_t w = 0; w < config.workers; ++w) {
+    engine.submit(probe_request(), ledger.callback(kTotal + w));
+  }
+  gate.wait_until_blocked(config.workers);
+  std::atomic<std::size_t> submitted{0};
+  std::vector<std::thread> submitters = start_submitters(engine, ledger, submitted);
+  while (engine.queue_depth() < config.queue_capacity) std::this_thread::yield();
+
+  std::thread stopper([&] { engine.shutdown(DecisionEngine::Drain::kDiscard); });
+  while (engine.accepting()) std::this_thread::yield();
+  for (std::thread& t : submitters) t.join();
+  // The discard empties the ring while the workers are still wedged;
+  // only then may they finish their one request each and exit.
+  while (engine.queue_depth() != 0) std::this_thread::yield();
+  gate.open();
+  stopper.join();
+
+  expect_all_answered(engine, ledger, kTotal + config.workers);
+  EXPECT_EQ(ledger.count(CompletionStatus::kDecided), config.workers);
+  // The full ring was discarded, on top of any post-close submissions.
+  EXPECT_GE(ledger.count(CompletionStatus::kShutdown), config.queue_capacity);
+}
+
+TEST(RuntimeChurnTest, AdmissionBoundIsExactForNonPowerOfTwoCapacity) {
+  GateResolver gate;
+  SnapshotPublisher publisher;
+  publisher.publish(make_gated_store());
+  EngineConfig config;
+  config.workers = 1;
+  config.queue_capacity = 100;  // the ring rounds up to 128 slots
+  config.max_batch = 1;
+  config.resolver = &gate;
+  DecisionEngine engine(publisher, config);
+
+  constexpr std::size_t kOverflow = 7;
+  const std::size_t total = 1 + config.queue_capacity + kOverflow;
+  CompletionLedger ledger(total);
+  engine.submit(probe_request(), ledger.callback(0));
+  gate.wait_until_blocked(1);
+  for (std::size_t i = 1; i < total; ++i) engine.submit(probe_request(), ledger.callback(i));
+
+  // Queue-full sheds complete on this thread before submit returns.
+  EXPECT_EQ(ledger.count(CompletionStatus::kShedQueueFull), kOverflow);
+  EXPECT_EQ(engine.queue_depth(), config.queue_capacity);
+  EXPECT_DOUBLE_EQ(engine.metrics().saturation(), 1.0);
+
+  gate.open();
+  engine.shutdown(DecisionEngine::Drain::kDrain);
+  expect_all_answered(engine, ledger, total);
+  EXPECT_EQ(ledger.count(CompletionStatus::kDecided), 1 + config.queue_capacity);
+}
+
+TEST(RuntimeChurnTest, IdleEngineNeverLosesAWakeUp) {
+  SnapshotPublisher publisher;
+  publisher.publish(make_stamped_store(1));
+  EngineConfig config;
+  config.workers = 2;
+  DecisionEngine engine(publisher, config);
+
+  // Each round trip finds the workers idle (or about to park), so every
+  // submit exercises the sleeper check and every pop the park path. A
+  // lost wake-up would leave a request waiting forever.
+  constexpr int kRoundTrips = 10'000;
+  for (int i = 0; i < kRoundTrips; ++i) {
+    std::future<EngineResult> f = engine.submit(probe_request());
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(1)), std::future_status::ready)
+        << "round trip " << i << " was never picked up";
+    ASSERT_EQ(f.get().status, CompletionStatus::kDecided);
+  }
+  engine.shutdown();
+  EXPECT_EQ(engine.metrics().decided, static_cast<std::uint64_t>(kRoundTrips));
 }
 
 }  // namespace

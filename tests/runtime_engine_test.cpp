@@ -7,10 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
+#include <cstdlib>
 #include <future>
 #include <memory>
-#include <mutex>
+#include <new>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -21,6 +21,7 @@
 #include "core/pdp.hpp"
 #include "core/serialization.hpp"
 #include "dependability/replicated_pdp.hpp"
+#include "engine_gate.hpp"
 #include "obs/trace.hpp"
 #include "net/sim.hpp"
 #include "pep/pep.hpp"
@@ -29,68 +30,49 @@
 #include "runtime/snapshot.hpp"
 #include "workload.hpp"
 
+// Per-thread allocation counting for the exact zero-allocation gates:
+// this binary replaces the global operator new, and every thread counts
+// its own allocations in a thread_local. A count taken around a loop on
+// one thread is exact and independent of core count and of what the
+// engine's workers allocate meanwhile.
+namespace {
+// Trivially constructible, so access needs no TLS guard.
+thread_local std::uint64_t t_allocs = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++t_allocs;
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++t_allocs;
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
+// The replacements above allocate with std::malloc, so free() is the
+// matching deallocator; GCC's mismatched-new-delete heuristic cannot see
+// that pairing.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
 namespace mdac::runtime {
 namespace {
 
 // ---------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------
-
-/// An AttributeResolver whose resolutions block until opened — the test
-/// lever that wedges engine workers inside an evaluation so queueing,
-/// shedding and deadlines become observable. Thread-safe (the engine
-/// contract for shared resolvers).
-class GateResolver : public core::AttributeResolver {
- public:
-  std::optional<core::Bag> resolve(core::Category /*category*/,
-                                   const std::string& id,
-                                   const core::RequestContext& /*request*/) override {
-    if (id != "gate") return std::nullopt;
-    std::unique_lock lock(mutex_);
-    ++entered_;
-    entered_cv_.notify_all();
-    open_cv_.wait(lock, [this] { return open_; });
-    return core::Bag(core::AttributeValue(true));
-  }
-
-  void open() {
-    {
-      std::lock_guard lock(mutex_);
-      open_ = true;
-    }
-    open_cv_.notify_all();
-  }
-
-  /// Blocks the calling (test) thread until `n` resolutions are wedged.
-  void wait_until_blocked(std::size_t n) {
-    std::unique_lock lock(mutex_);
-    entered_cv_.wait(lock, [&] { return entered_ >= n; });
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable open_cv_;
-  std::condition_variable entered_cv_;
-  bool open_ = false;
-  std::size_t entered_ = 0;
-};
-
-/// A store whose single policy permits "read" only once the "gate"
-/// environment attribute resolves true — every evaluation goes through
-/// the resolver.
-std::shared_ptr<core::PolicyStore> make_gated_store() {
-  auto store = std::make_shared<core::PolicyStore>();
-  core::Policy p;
-  p.policy_id = "gated";
-  core::Rule r;
-  r.id = "permit-when-open";
-  r.effect = core::Effect::kPermit;
-  r.condition = core::designator(core::Category::kEnvironment, "gate",
-                                 core::DataType::kBoolean, /*must_be_present=*/true);
-  p.rules.push_back(std::move(r));
-  store->add(std::move(p));
-  return store;
-}
 
 core::RequestContext probe_request() {
   return core::RequestContext::make("alice", "doc", "read");
@@ -546,6 +528,128 @@ TEST(DecisionEngineTest, VersionSweepReclaimsWithdrawnEntriesMutexSharded) {
   common::WallClock clock;
   cache::DecisionCache cache(clock, /*ttl=*/1'000'000, /*capacity=*/1024);
   expect_sweep_reclaims_withdrawn_entries(cache);
+}
+
+// ---------------------------------------------------------------------
+// PIP-dependent decisions and the cache
+// ---------------------------------------------------------------------
+
+/// A thread-safe resolver answering one environment attribute,
+/// "clearance", from a flag the test flips — a PIP whose answer changes
+/// without any policy republication.
+class ClearanceResolver : public core::AttributeResolver {
+ public:
+  std::optional<core::Bag> resolve(core::Category /*category*/, const std::string& id,
+                                   const core::RequestContext& /*request*/) override {
+    if (id != "clearance") return std::nullopt;
+    return core::Bag(core::AttributeValue(cleared.load()));
+  }
+
+  std::atomic<bool> cleared{true};
+};
+
+/// Permits while the resolver reports clearance, denies otherwise.
+std::shared_ptr<core::PolicyStore> make_clearance_store() {
+  auto store = std::make_shared<core::PolicyStore>();
+  core::Policy p;
+  p.policy_id = "clearance";
+  p.rule_combining = "first-applicable";
+  core::Rule permit;
+  permit.id = "permit-when-cleared";
+  permit.effect = core::Effect::kPermit;
+  permit.condition = core::designator(core::Category::kEnvironment, "clearance",
+                                      core::DataType::kBoolean, /*must_be_present=*/true);
+  p.rules.push_back(std::move(permit));
+  core::Rule deny;
+  deny.id = "deny-otherwise";
+  deny.effect = core::Effect::kDeny;
+  p.rules.push_back(std::move(deny));
+  store->add(std::move(p));
+  return store;
+}
+
+/// The resolver revokes clearance between two identical requests under
+/// one snapshot: the permit the first one earned must not be served
+/// from either cache level to the second.
+void expect_resolver_revocation_is_not_cached(cache::DecisionCache& cache) {
+  ClearanceResolver resolver;
+  SnapshotPublisher publisher;
+  publisher.publish(make_clearance_store());
+  EngineConfig config;
+  config.workers = 1;
+  config.resolver = &resolver;
+  DecisionEngine engine(publisher, config, &cache);
+
+  const EngineResult granted = engine.submit(probe_request()).get();
+  ASSERT_TRUE(granted.decision.is_permit());
+  resolver.cleared.store(false);
+  const EngineResult revoked = engine.submit(probe_request()).get();
+  EXPECT_FALSE(revoked.cache_hit);
+  EXPECT_TRUE(revoked.decision.is_deny());
+  EXPECT_EQ(revoked.snapshot_version, granted.snapshot_version);
+  engine.shutdown();
+  EXPECT_EQ(engine.metrics().cache_hits, 0u);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(DecisionEngineTest, ResolverDependentPermitIsNotCachedTwoLevel) {
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 1024});
+  expect_resolver_revocation_is_not_cached(cache);
+}
+
+TEST(DecisionEngineTest, ResolverDependentPermitIsNotCachedMutexSharded) {
+  common::WallClock clock;
+  cache::DecisionCache cache(clock, /*ttl=*/1'000'000, /*capacity=*/1024);
+  expect_resolver_revocation_is_not_cached(cache);
+}
+
+// ---------------------------------------------------------------------
+// Admission cost: exact allocation gate
+// ---------------------------------------------------------------------
+
+TEST(DecisionEngineTest, UntracedSubmitMakesZeroAllocations) {
+  SnapshotPublisher publisher;
+  publisher.publish(bench::make_policy_store(8));
+  EngineConfig config;
+  config.workers = 2;
+  config.queue_capacity = 1024;
+  DecisionEngine engine(publisher, config);
+
+  constexpr std::size_t kWarmup = 1'000;
+  constexpr std::size_t kMeasured = 10'000;
+  // Stay well under the admission bound: a shed builds its status
+  // message, which allocates by design.
+  constexpr std::size_t kMaxInFlight = 256;
+  common::Rng rng(5);
+  std::vector<core::RequestContext> requests;
+  requests.reserve(kWarmup + kMeasured);
+  for (std::size_t i = 0; i < kWarmup + kMeasured; ++i) {
+    requests.push_back(bench::random_request(rng, 8, 3));
+  }
+  std::atomic<std::size_t> completed{0};
+  const auto submit_range = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      while (i - completed.load(std::memory_order_acquire) >= kMaxInFlight) {
+        std::this_thread::yield();
+      }
+      // One pointer of capture: fits std::function's small buffer.
+      engine.submit(std::move(requests[i]), [&completed](EngineResult) {
+        completed.fetch_add(1, std::memory_order_release);
+      });
+    }
+  };
+
+  submit_range(0, kWarmup);
+  const std::uint64_t before = t_allocs;
+  submit_range(kWarmup, kWarmup + kMeasured);
+  const std::uint64_t allocations = t_allocs - before;
+  while (completed.load() < kWarmup + kMeasured) std::this_thread::yield();
+  engine.shutdown();
+
+  EXPECT_EQ(allocations, 0u);
+  const EngineMetrics::Snapshot m = engine.metrics();
+  EXPECT_EQ(m.sheds(), 0u);
+  EXPECT_EQ(m.decided, kWarmup + kMeasured);
 }
 
 // ---------------------------------------------------------------------
