@@ -33,8 +33,10 @@
 #include "cache/request_key.hpp"
 #include "cache/ttl_cache.hpp"
 #include "common/clock.hpp"
+#include "common/interner.hpp"
 #include "common/rng.hpp"
 #include "core/pdp.hpp"
+#include "core/serialization.hpp"
 #include "dependability/replicated_pdp.hpp"
 #include "net/fault.hpp"
 #include "obs/trace.hpp"
@@ -373,6 +375,37 @@ BenchResult bench_request_key_fingerprint(const Scale& s) {
                      [&](std::uint64_t i) {
                        sink += cache::fingerprint(pool[i % pool.size()]).lo;
                      });
+  r.counters["sink"] = static_cast<double>(sink % 7);
+  return r;
+}
+
+BenchResult bench_wire_request_decode(const Scale& s) {
+  common::interner().intern("service");  // the policy vocabulary a PDP holds
+  common::Rng rng(14);
+  std::vector<std::string> docs;
+  for (std::uint64_t i = 0; i < 512; ++i) {
+    docs.push_back(core::request_to_string(cold_wire_request(rng, 1'000'000 + i)));
+  }
+  // cold_wire documents: six attributes, one 12-character serial subject.
+  std::uint64_t sink = 0;
+  auto r = run_bench("wire_request_decode", s.iterations, 256, [&](std::uint64_t i) {
+    sink += core::request_from_string(docs[i % docs.size()]).size();
+  });
+  r.counters["doc_bytes"] = static_cast<double>(docs[0].size());
+  r.counters["sink"] = static_cast<double>(sink % 7);
+  return r;
+}
+
+BenchResult bench_wire_decision_encode(const Scale& s) {
+  common::Rng rng(15);
+  std::vector<core::Decision> decisions;
+  for (std::uint64_t i = 0; i < 512; ++i) {
+    decisions.push_back(cold_wire_decision(rng, "u-" + std::to_string(1'000'000'000 + i)));
+  }
+  std::uint64_t sink = 0;
+  auto r = run_bench("wire_decision_encode", s.iterations, 256, [&](std::uint64_t i) {
+    sink += core::decision_to_string(decisions[i % decisions.size()]).size();
+  });
   r.counters["sink"] = static_cast<double>(sink % 7);
   return r;
 }
@@ -1134,7 +1167,8 @@ int run(int argc, char** argv) {
                       &bench_pdp_evaluate_batch, &bench_pdp_evaluate_noindex,
                       &bench_cached_hit, &bench_cached_hit_legacy,
                       &bench_cached_churn, &bench_request_key_fingerprint,
-                      &bench_request_key_legacy}) {
+                      &bench_request_key_legacy, &bench_wire_request_decode,
+                      &bench_wire_decision_encode}) {
     BenchResult r = (*bench)(scale);
     print_row(r);
     report.add(std::move(r));

@@ -2,6 +2,7 @@
 // seeded and deterministic so every reported row is reproducible.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -205,6 +206,36 @@ inline core::RequestContext random_domain_request(common::Rng& rng, int n_domain
   req.add(core::Category::kSubject, core::attrs::kRole,
           core::AttributeValue("role-" + std::to_string(role)));
   return req;
+}
+
+/// A `cold_wire`-shaped request (the decision-service benchmark's
+/// pull-model workload): six attributes in three categories, with a
+/// 12-character serial subject id "u-<10 digits>".
+inline core::RequestContext cold_wire_request(common::Rng& rng, std::uint64_t serial) {
+  std::string digits = std::to_string(serial % 10'000'000'000ULL);
+  core::RequestContext r = core::RequestContext::make(
+      "u-" + std::string(10 - digits.size(), '0') + digits,
+      "res-" + std::to_string(rng.uniform_int(0, 63)), rng.chance(0.5) ? "read" : "write");
+  r.add(core::Category::kResource, core::attrs::kResourceDomain,
+        core::AttributeValue("domain-" + std::to_string(rng.uniform_int(0, 3))));
+  r.add(core::Category::kResource, "service",
+        core::AttributeValue("svc-" + std::to_string(rng.uniform_int(0, 3))));
+  r.add(core::Category::kSubject, core::attrs::kRole,
+        core::AttributeValue("role-" + std::to_string(rng.uniform_int(0, 3))));
+  return r;
+}
+
+/// A `cold_wire`-shaped reply: a read permit carrying its leaf's audit
+/// obligation naming the subject, or a plain deny.
+inline core::Decision cold_wire_decision(common::Rng& rng, const std::string& subject) {
+  if (rng.chance(0.5)) return core::Decision::deny();
+  core::Decision d = core::Decision::permit();
+  d.obligations.push_back(core::ObligationInstance{
+      "domain-" + std::to_string(rng.uniform_int(0, 3)) + ":svc-" +
+          std::to_string(rng.uniform_int(0, 3)) + ":policy-" +
+          std::to_string(rng.uniform_int(0, 11)) + ":audit",
+      {{"who", core::AttributeValue(subject)}}});
+  return d;
 }
 
 }  // namespace mdac::bench

@@ -46,16 +46,16 @@ RequestContext::Entry& RequestContext::entry_for(Category category,
 }
 
 RequestContext::Entry& RequestContext::side_entry_for(Category category,
-                                                      const std::string& name) {
+                                                      std::string_view name) {
   const auto it = std::lower_bound(
       side_.begin(), side_.end(), name,
-      [category](const Entry& e, const std::string& n) {
+      [category](const Entry& e, std::string_view n) {
         return side_before(e, category, n);
       });
   if (it != side_.end() && it->category == category && it->uninterned_name == name) {
     return *it;
   }
-  return *side_.insert(it, Entry{category, kUninterned, Bag(), name});
+  return *side_.insert(it, Entry{category, kUninterned, Bag(), std::string(name)});
 }
 
 const Bag* RequestContext::side_get(Category category, std::string_view name) const {
@@ -86,7 +86,7 @@ void RequestContext::absorb_side_entry(Category category, std::string_view name,
   side_.erase(it);
 }
 
-void RequestContext::add(Category category, const std::string& id,
+void RequestContext::add(Category category, std::string_view id,
                          AttributeValue value) {
   // Never intern here: this is the wire-facing entry point, and interning
   // is permanent. Unknown names ride the per-request side table instead

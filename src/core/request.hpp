@@ -65,7 +65,7 @@ class RequestContext {
   /// Adds a value to the (category, id) bag, creating the bag if needed.
   /// Never interns: a name the process already knows goes into the
   /// symbol-keyed storage, an unknown name into the side table.
-  void add(Category category, const std::string& id, AttributeValue value);
+  void add(Category category, std::string_view id, AttributeValue value);
 
   /// As above for callers that pre-interned the name (attrs::Symbols):
   /// skips the interner probe entirely.
@@ -117,7 +117,7 @@ class RequestContext {
 
  private:
   Entry& entry_for(Category category, common::Symbol id);
-  Entry& side_entry_for(Category category, const std::string& name);
+  Entry& side_entry_for(Category category, std::string_view name);
   const Bag* side_get(Category category, std::string_view name) const;
   /// Folds a stale side entry for (category, name) — one created before
   /// the name was interned — into `into`, so a write after late

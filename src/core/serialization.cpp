@@ -1,6 +1,9 @@
 #include "core/serialization.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 namespace mdac::core {
@@ -16,19 +19,19 @@ std::string require_attr(const xml::Element& e, const std::string& key) {
   fail("<" + e.name + "> missing attribute '" + key + "'");
 }
 
-DataType parse_data_type(const std::string& s) {
+DataType parse_data_type(std::string_view s) {
   if (auto t = data_type_from_string(s)) return *t;
-  fail("unknown data type '" + s + "'");
+  fail("unknown data type '" + std::string(s) + "'");
 }
 
-Category parse_category(const std::string& s) {
+Category parse_category(std::string_view s) {
   if (auto c = category_from_string(s)) return *c;
-  fail("unknown category '" + s + "'");
+  fail("unknown category '" + std::string(s) + "'");
 }
 
-AttributeValue parse_value(DataType type, const std::string& text) {
-  if (auto v = AttributeValue::from_text(type, text)) return *v;
-  fail("cannot parse '" + text + "' as " + to_string(type));
+AttributeValue parse_value(DataType type, std::string_view text) {
+  if (auto v = AttributeValue::from_text(type, text)) return std::move(*v);
+  fail("cannot parse '" + std::string(text) + "' as " + to_string(type));
 }
 
 Effect parse_effect(const std::string& s) {
@@ -412,35 +415,166 @@ xml::Element request_to_xml(const RequestContext& request) {
   return e;
 }
 
-RequestContext request_from_xml(const xml::Element& element) {
-  if (element.name != "Request") fail("expected <Request>");
+RequestContext request_from_string(const std::string& text) {
+  // The element path that carries attributes, one name per depth. Only
+  // elements whose every ancestor is on this path are interpreted;
+  // anything else is lexed and ignored, as a tree walk over
+  // children_named() would.
+  static constexpr std::string_view kPath[] = {"Request", "Attributes", "Attribute",
+                                               "Value"};
+  xml::Reader reader(text);
   RequestContext request;
-  for (const xml::Element* group : element.children_named("Attributes")) {
-    const Category category = parse_category(require_attr(*group, "Category"));
-    for (const xml::Element* attr : group->children_named("Attribute")) {
-      const std::string id = require_attr(*attr, "AttributeId");
-      for (const xml::Element* value : attr->children_named("Value")) {
-        request.add(category, id, value_from_xml(*value));
+  // The first semantic error, raised only once the whole document has
+  // lexed cleanly (see the header comment on error precedence).
+  std::optional<SerializationError> error;
+  std::size_t matched = 0;  // depth of the deepest open element on kPath
+  Category category{};
+  std::string_view id;
+  std::string id_buf;  // holds `id` when it was entity-decoded
+  DataType type{};
+  std::string_view value;
+  std::string value_buf;  // holds `value` once it spans several text runs
+  bool value_buffered = false;
+  const auto attempt = [&](auto&& step) {
+    try {
+      step();
+    } catch (const SerializationError& e) {
+      error = e;
+    }
+  };
+  while (true) {
+    switch (reader.next()) {
+      case xml::Reader::Token::kStart: {
+        const std::size_t depth = reader.depth();
+        if (error || depth != matched + 1 || depth > std::size(kPath)) break;
+        if (reader.name() != kPath[depth - 1]) {
+          if (depth == 1) error.emplace("expected <Request>");
+          break;
+        }
+        matched = depth;
+        attempt([&] {
+          const auto required = [&](std::string_view key) {
+            if (auto v = reader.attr(key)) return *v;
+            fail("<" + std::string(reader.name()) + "> missing attribute '" +
+                 std::string(key) + "'");
+          };
+          if (depth == 2) {
+            category = parse_category(required("Category"));
+          } else if (depth == 3) {
+            id = required("AttributeId");
+            if (!reader.from_input(id)) id = id_buf.assign(id);
+          } else if (depth == 4) {
+            type = parse_data_type(reader.attr("DataType").value_or("string"));
+            value = {};
+            value_buffered = false;
+          }
+        });
+        break;
       }
+      case xml::Reader::Token::kText:
+        if (error || matched != 4 || reader.depth() != 4) break;
+        if (!value_buffered && value.empty() && reader.from_input(reader.text())) {
+          value = reader.text();
+        } else {
+          if (!value_buffered) value_buf.assign(value);
+          value_buffered = true;
+          value = value_buf.append(reader.text());
+        }
+        break;
+      case xml::Reader::Token::kEnd:
+        if (reader.depth() != matched) break;
+        if (matched == 4 && !error) {
+          attempt([&] { request.add(category, id, parse_value(type, value)); });
+        }
+        --matched;
+        break;
+      case xml::Reader::Token::kEndOfDocument:
+        if (error) throw *error;
+        return request;
     }
   }
-  return request;
 }
 
 namespace {
 
-xml::Element obligation_instance_to_xml(const ObligationInstance& ob) {
-  xml::Element e("Obligation");
-  e.set_attr("ObligationId", ob.id);
-  for (const auto& [id, value] : ob.assignments) {
-    xml::Element assign("Assignment");
-    assign.set_attr("AttributeId", id);
-    assign.set_attr("DataType", to_string(value.type()));
-    assign.text = value.to_text();
-    e.add_child(std::move(assign));
+void append_obligation(std::string& out, const ObligationInstance& ob) {
+  out += "<Obligation ObligationId=\"";
+  xml::append_escaped_attr(out, ob.id);
+  out += '"';
+  if (ob.assignments.empty()) {
+    out += "/>";
+    return;
   }
-  return e;
+  out += '>';
+  for (const auto& [id, value] : ob.assignments) {
+    out += "<Assignment AttributeId=\"";
+    xml::append_escaped_attr(out, id);
+    out += "\" DataType=\"";
+    out += to_string(value.type());
+    out += '"';
+    // Strings are escaped in place; every other type's lexical form is
+    // short enough for the small-string buffer.
+    std::string other;
+    const std::string_view lexical =
+        value.is_string() ? std::string_view(value.as_string()) : (other = value.to_text());
+    if (lexical.empty()) {
+      out += "/>";
+      continue;
+    }
+    out += '>';
+    xml::append_escaped_text(out, lexical);
+    out += "</Assignment>";
+  }
+  out += "</Obligation>";
 }
+
+}  // namespace
+
+std::string decision_to_string(const Decision& decision) {
+  // Encoded into a buffer that keeps its capacity between calls on this
+  // thread, then copied out at exact size: the only allocation per call,
+  // and no slack capacity in strings callers keep. A reply can be as
+  // large as the request it rejects (a bad-request status quotes the
+  // parser's message), so a buffer grown past kMaxRetained is released
+  // rather than pinned to the thread.
+  static constexpr std::size_t kMaxRetained = std::size_t{64} << 10;
+  thread_local std::string buf;
+  buf.clear();
+  buf += "<Response><Result Decision=\"";
+  buf += to_string(decision.type);
+  buf += '"';
+  if (decision.extent != IndeterminateExtent::kNone) {
+    buf += " Extent=\"";
+    buf += to_string(decision.extent);
+    buf += '"';
+  }
+  buf += "><Status Code=\"";
+  buf += to_string(decision.status.code);
+  buf += '"';
+  if (decision.status.message.empty()) {
+    buf += "/>";
+  } else {
+    buf += '>';
+    xml::append_escaped_text(buf, decision.status.message);
+    buf += "</Status>";
+  }
+  if (!decision.obligations.empty()) {
+    buf += "<Obligations>";
+    for (const ObligationInstance& ob : decision.obligations) append_obligation(buf, ob);
+    buf += "</Obligations>";
+  }
+  if (!decision.advice.empty()) {
+    buf += "<Advice>";
+    for (const ObligationInstance& ob : decision.advice) append_obligation(buf, ob);
+    buf += "</Advice>";
+  }
+  buf += "</Result></Response>";
+  std::string out(buf);
+  if (buf.capacity() > kMaxRetained) std::string().swap(buf);
+  return out;
+}
+
+namespace {
 
 ObligationInstance obligation_instance_from_xml(const xml::Element& element) {
   ObligationInstance ob;
@@ -454,31 +588,6 @@ ObligationInstance obligation_instance_from_xml(const xml::Element& element) {
 }
 
 }  // namespace
-
-xml::Element decision_to_xml(const Decision& decision) {
-  xml::Element e("Response");
-  xml::Element& result = e.add_child("Result");
-  result.set_attr("Decision", to_string(decision.type));
-  if (decision.extent != IndeterminateExtent::kNone) {
-    result.set_attr("Extent", to_string(decision.extent));
-  }
-  xml::Element& status = result.add_child("Status");
-  status.set_attr("Code", to_string(decision.status.code));
-  status.text = decision.status.message;
-  if (!decision.obligations.empty()) {
-    xml::Element& obs = result.add_child("Obligations");
-    for (const ObligationInstance& ob : decision.obligations) {
-      obs.add_child(obligation_instance_to_xml(ob));
-    }
-  }
-  if (!decision.advice.empty()) {
-    xml::Element& adv = result.add_child("Advice");
-    for (const ObligationInstance& ob : decision.advice) {
-      adv.add_child(obligation_instance_to_xml(ob));
-    }
-  }
-  return e;
-}
 
 Decision decision_from_xml(const xml::Element& element) {
   const xml::Element* result =
@@ -548,14 +657,6 @@ PolicyNodePtr node_from_string(const std::string& text) {
 
 std::string request_to_string(const RequestContext& request, bool pretty) {
   return xml::to_string(request_to_xml(request), pretty);
-}
-
-RequestContext request_from_string(const std::string& text) {
-  return request_from_xml(xml::parse(text));
-}
-
-std::string decision_to_string(const Decision& decision, bool pretty) {
-  return xml::to_string(decision_to_xml(decision), pretty);
 }
 
 Decision decision_from_string(const std::string& text) {

@@ -241,6 +241,28 @@ TEST_F(RemotePdpTest, MalformedRequestHandledAtService) {
   EXPECT_EQ(d.status.code, core::StatusCode::kSyntaxError);
 }
 
+TEST_F(RemotePdpTest, HostileNestingAnsweredWithBadRequest) {
+  // 100,000 nested elements: the decoder's depth bound turns what used
+  // to be a stack overflow into the fail-safe bad-request reply.
+  PdpService service(network_, "domain/pdp", pdp_);
+  net::RpcNode raw_client(network_, "raw");
+  std::string hostile = "<Request>";
+  for (int i = 0; i < 100000; ++i) hostile += "<a>";
+  for (int i = 0; i < 100000; ++i) hostile += "</a>";
+  hostile += "</Request>";
+  std::optional<std::string> response;
+  raw_client.call("domain/pdp", kAuthzRequestType, hostile, 1000,
+                  [&](std::optional<std::string> r) { response = r; });
+  sim_.run();
+  ASSERT_TRUE(response.has_value());
+  const core::Decision d = core::decision_from_string(*response);
+  EXPECT_TRUE(d.is_indeterminate());
+  EXPECT_EQ(d.extent, core::IndeterminateExtent::kDP);
+  EXPECT_EQ(d.status.code, core::StatusCode::kSyntaxError);
+  EXPECT_EQ(d.status.message.rfind(kBadRequestStatusPrefix, 0), 0u);
+  EXPECT_NE(d.status.message.find("nesting deeper than"), std::string::npos);
+}
+
 TEST_F(RemotePdpTest, EndToEndPepOverNetwork) {
   // Full pull-model composition: EnforcementPoint whose decision source
   // blocks on the simulated network round trip.

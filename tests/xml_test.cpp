@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
 #include "xml/xml.hpp"
 
 namespace mdac::xml {
@@ -79,6 +82,104 @@ TEST(XmlParseTest, DuplicateAttribute) {
   EXPECT_THROW(parse("<a x=\"1\" x=\"2\"/>"), ParseError);
 }
 
+TEST(XmlParseTest, DuplicateAttributeInLargeTagReportsFirstRepeat) {
+  // Past the pairwise window the check sorts the names; it must still
+  // name the first attribute (in document order) that repeats, at the
+  // position a left-to-right scan stops.
+  std::string doc = "<a";
+  for (int i = 0; i < 20; ++i) doc += " k" + std::to_string(i) + "=\"v\"";
+  doc += " k15=\"x\" k3=\"y\"/>";
+  try {
+    parse(doc);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate attribute 'k15'"), std::string::npos);
+    EXPECT_EQ(e.column(), doc.find(" k3=\"y\"") + 1);
+  }
+  // A syntax error after the duplicate does not mask it.
+  try {
+    parse(doc.substr(0, doc.size() - 2) + " &/>");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate attribute 'k15'"), std::string::npos);
+  }
+}
+
+TEST(XmlParseTest, HugeAttributeListIsNotQuadratic) {
+  // 100,000 distinct attributes in one start tag (~1 MB): a pairwise
+  // duplicate check takes tens of seconds here; sorting takes well
+  // under one.
+  std::string doc = "<a";
+  for (int i = 0; i < 100000; ++i) doc += " a" + std::to_string(i) + "=\"1\"";
+  doc += "/>";
+  const auto start = std::chrono::steady_clock::now();
+  const Element e = parse(doc);
+  [[maybe_unused]] const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_EQ(e.attributes.size(), 100000u);
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  EXPECT_LT(seconds, 1.0);
+#endif
+  doc.insert(doc.size() - 2, " a99999=\"2\"");
+  EXPECT_THROW(parse(doc), ParseError);
+}
+
+TEST(XmlParseTest, NestingDepthIsBounded) {
+  // Hostile nesting is a ParseError, not a stack overflow.
+  constexpr int kDeep = 100000;
+  std::string deep;
+  for (int i = 0; i < kDeep; ++i) deep += "<a>";
+  for (int i = 0; i < kDeep; ++i) deep += "</a>";
+  try {
+    parse(deep);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"), std::string::npos);
+  }
+  EXPECT_FALSE(try_parse(deep).has_value());
+
+  // Exactly kMaxDepth levels still parse, one more does not.
+  const auto nested = [](std::size_t depth) {
+    std::string doc;
+    for (std::size_t i = 0; i < depth; ++i) doc += "<a>";
+    doc += "<b/>";
+    for (std::size_t i = 0; i < depth; ++i) doc += "</a>";
+    return doc;
+  };
+  EXPECT_NO_THROW(parse(nested(Reader::kMaxDepth - 1)));
+  EXPECT_THROW(parse(nested(Reader::kMaxDepth)), ParseError);
+}
+
+TEST(XmlReaderTest, TokensAndDepths) {
+  Reader r("<?xml version=\"1.0\"?><a k=\"&lt;v\">x<!-- c -->y<b/><![CDATA[z]]></a>");
+  ASSERT_EQ(r.next(), Reader::Token::kStart);
+  EXPECT_EQ(r.name(), "a");
+  EXPECT_EQ(r.depth(), 1u);
+  EXPECT_EQ(r.attr("k"), "<v");
+  EXPECT_FALSE(r.from_input(*r.attr("k")));
+  ASSERT_EQ(r.next(), Reader::Token::kText);
+  EXPECT_EQ(r.text(), "xy");
+  ASSERT_EQ(r.next(), Reader::Token::kStart);
+  EXPECT_EQ(r.name(), "b");
+  EXPECT_EQ(r.depth(), 2u);
+  EXPECT_TRUE(r.attributes().empty());
+  ASSERT_EQ(r.next(), Reader::Token::kEnd);
+  EXPECT_EQ(r.name(), "b");
+  ASSERT_EQ(r.next(), Reader::Token::kText);
+  EXPECT_EQ(r.text(), "z");
+  EXPECT_EQ(r.depth(), 1u);
+  ASSERT_EQ(r.next(), Reader::Token::kEnd);
+  EXPECT_EQ(r.name(), "a");
+  EXPECT_EQ(r.next(), Reader::Token::kEndOfDocument);
+  EXPECT_EQ(r.next(), Reader::Token::kEndOfDocument);
+
+  Reader plain("<a k=\"v\">text</a>");
+  ASSERT_EQ(plain.next(), Reader::Token::kStart);
+  EXPECT_TRUE(plain.from_input(*plain.attr("k")));
+  ASSERT_EQ(plain.next(), Reader::Token::kText);
+  EXPECT_TRUE(plain.from_input(plain.text()));
+}
+
 TEST(XmlParseTest, UnterminatedElement) {
   EXPECT_THROW(parse("<a><b/>"), ParseError);
 }
@@ -148,8 +249,12 @@ TEST(XmlWriteTest, SetAttrReplacesExisting) {
 }
 
 TEST(XmlWriteTest, EscapingFunctions) {
-  EXPECT_EQ(escape_text("a<b>&c"), "a&lt;b&gt;&amp;c");
-  EXPECT_EQ(escape_attr("\"'"), "&quot;&apos;");
+  std::string out = "x";
+  append_escaped_text(out, "a<b>&c\"'");
+  EXPECT_EQ(out, "xa&lt;b&gt;&amp;c\"'");
+  out.clear();
+  append_escaped_attr(out, "\"'");
+  EXPECT_EQ(out, "&quot;&apos;");
 }
 
 // --- Helpers ------------------------------------------------------------
