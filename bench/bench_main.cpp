@@ -9,29 +9,35 @@
 //   * allocation pressure (allocs/op, bytes/op) via a global
 //     operator-new hook — the zero-allocation fast path is an explicit
 //     acceptance criterion, so it is measured, not asserted
+//   * lock acquisitions (locks/op) via a pthread_mutex_lock hook — the
+//     cached hit paths are gated at exactly zero
 //
 // Usage: bench_pdp [--smoke] [--out BENCH_pdp.json]
 //   --smoke shrinks every workload so the whole run fits in <2s; the
 //   bench-smoke ctest target uses it to exercise the perf plumbing on
 //   every tier-1 run.
+#include <dlfcn.h>
+#include <pthread.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <list>
 #include <memory>
 #include <new>
 #include <span>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "analysis/analysis.hpp"
 #include "cache/decision_cache.hpp"
 #include "cache/request_key.hpp"
-#include "cache/ttl_cache.hpp"
 #include "common/clock.hpp"
 #include "common/interner.hpp"
 #include "common/rng.hpp"
@@ -75,6 +81,42 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
+// ---------------------------------------------------------------------
+// Counting lock hook: every pthread_mutex_lock call made through the
+// public symbol (std::mutex, std::lock_guard, libstdc++ internals) is
+// counted, then forwarded to the next definition (libc's). glibc's own
+// internal locks (malloc arenas, stdio) bypass the symbol and are not
+// counted. The sanitizer runtimes intercept this symbol themselves, so
+// sanitized builds (MDAC_SANITIZE, MDAC_TSAN) leave it alone and report
+// no lock counts.
+// ---------------------------------------------------------------------
+namespace {
+std::atomic<std::uint64_t> g_lock_count{0};
+}  // namespace
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kCountsLocks = false;
+#else
+constexpr bool kCountsLocks = true;
+
+namespace {
+using LockFn = int (*)(pthread_mutex_t*);
+// Constant-initialised, so it needs no init guard (a guard could itself
+// take a lock and recurse into the hook).
+std::atomic<LockFn> g_next_lock{nullptr};
+}  // namespace
+
+extern "C" int pthread_mutex_lock(pthread_mutex_t* mutex) {
+  LockFn fn = g_next_lock.load(std::memory_order_relaxed);
+  if (fn == nullptr) {
+    fn = reinterpret_cast<LockFn>(dlsym(RTLD_NEXT, "pthread_mutex_lock"));
+    g_next_lock.store(fn, std::memory_order_relaxed);
+  }
+  g_lock_count.fetch_add(1, std::memory_order_relaxed);
+  return fn(mutex);
+}
+#endif
+
 namespace mdac::bench {
 
 /// Keeps the optimizer from discarding decision results without the
@@ -84,6 +126,24 @@ void benchmark_sink(const core::Decision& d);
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// The hook counters at one instant; taken before a measured region and
+/// charged to its row after it.
+struct HookCounts {
+  std::uint64_t allocs = g_alloc_count.load();
+  std::uint64_t bytes = g_alloc_bytes.load();
+  std::uint64_t locks = g_lock_count.load();
+
+  /// Sets `r`'s per-op allocation and lock figures from what the hooks
+  /// counted since this snapshot, over `ops` operations.
+  void charge(BenchResult& r, std::uint64_t ops) const {
+    const HookCounts now;
+    const double n = static_cast<double>(ops);
+    r.allocs_per_op = static_cast<double>(now.allocs - allocs) / n;
+    r.bytes_per_op = static_cast<double>(now.bytes - bytes) / n;
+    r.locks_per_op = kCountsLocks ? static_cast<double>(now.locks - locks) / n : -1;
+  }
+};
 
 struct Scale {
   int policies = 200;
@@ -110,8 +170,7 @@ BenchResult run_bench(const std::string& name, std::uint64_t iterations,
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(iterations / batch) + 1);
 
-  const std::uint64_t allocs_before = g_alloc_count.load();
-  const std::uint64_t bytes_before = g_alloc_bytes.load();
+  const HookCounts before;
   const auto run_start = Clock::now();
   std::uint64_t done = 0;
   while (done < iterations) {
@@ -126,8 +185,7 @@ BenchResult run_bench(const std::string& name, std::uint64_t iterations,
     done += n;
   }
   const auto run_end = Clock::now();
-  const std::uint64_t allocs_after = g_alloc_count.load();
-  const std::uint64_t bytes_after = g_alloc_bytes.load();
+  before.charge(r, iterations);
 
   const double total_ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(run_end - run_start).count());
@@ -136,10 +194,6 @@ BenchResult run_bench(const std::string& name, std::uint64_t iterations,
   r.p50_ns = percentile(samples, 0.50);
   r.p90_ns = percentile(samples, 0.90);
   r.p99_ns = percentile(samples, 0.99);
-  r.allocs_per_op =
-      static_cast<double>(allocs_after - allocs_before) / static_cast<double>(iterations);
-  r.bytes_per_op =
-      static_cast<double>(bytes_after - bytes_before) / static_cast<double>(iterations);
   return r;
 }
 
@@ -318,20 +372,31 @@ BenchResult bench_pdp_evaluate_noindex(const Scale& s) {
   return r;
 }
 
-/// The cached-decision fast path: 100% hits after warmup. This is the
-/// path the paper's §3.2 argument needs to be near-free.
+/// The cached-decision fast path at the PEP: CachingEvaluator over the
+/// one decision store, with a TTL, 100% hits (the pool is cached before
+/// measuring). This is the path the paper's §3.2 argument needs to be
+/// near-free. Hits are counted at the caller: every evaluator call is a
+/// miss.
 BenchResult bench_cached_hit(const Scale& s) {
   common::ManualClock clock;
   auto store = make_policy_store(s.policies, s.roles);
   core::Pdp pdp(store);
-  cache::DecisionCache cache(clock, /*ttl=*/1'000'000'000, /*capacity=*/8192);
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{
+      .capacity = 8192, .ttl = 1'000'000'000, .clock = &clock});
+  std::uint64_t calls = 0;
+  std::uint64_t evaluations = 0;
   cache::CachingEvaluator cached(cache, [&](const core::RequestContext& req) {
+    ++evaluations;
     return pdp.evaluate(req);
   });
   const auto pool = make_request_pool(s, 512);
-  auto r = run_bench("cached_decision_hit", s.cache_iterations, 256,
-                     [&](std::uint64_t i) { benchmark_sink(cached(pool[i % pool.size()])); });
-  r.counters["hit_ratio"] = cache.stats().hit_ratio();
+  for (const auto& req : pool) cached(req);  // fill: the measured ops are hits
+  evaluations = 0;
+  auto r = run_bench("cached_decision_hit", s.cache_iterations, 256, [&](std::uint64_t i) {
+    ++calls;
+    benchmark_sink(cached(pool[i % pool.size()]));
+  });
+  r.counters["hit_ratio"] = 1.0 - static_cast<double>(evaluations) / static_cast<double>(calls);
   return r;
 }
 
@@ -340,17 +405,22 @@ BenchResult bench_cached_churn(const Scale& s) {
   common::ManualClock clock;
   auto store = make_policy_store(s.policies, s.roles);
   core::Pdp pdp(store);
-  cache::DecisionCache cache(clock, /*ttl=*/5'000, /*capacity=*/4096);
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{
+      .capacity = 4096, .ttl = 5'000, .clock = &clock});
+  std::uint64_t calls = 0;
+  std::uint64_t evaluations = 0;
   cache::CachingEvaluator cached(cache, [&](const core::RequestContext& req) {
+    ++evaluations;
     return pdp.evaluate(req);
   });
   const auto pool = make_request_pool(s, 2048);
   auto r = run_bench("cached_decision_churn", s.cache_iterations / 4, 256,
                      [&](std::uint64_t i) {
+                       ++calls;
                        clock.advance(1);
                        benchmark_sink(cached(pool[i % pool.size()]));
                      });
-  r.counters["hit_ratio"] = cache.stats().hit_ratio();
+  r.counters["hit_ratio"] = 1.0 - static_cast<double>(evaluations) / static_cast<double>(calls);
   return r;
 }
 
@@ -410,15 +480,77 @@ BenchResult bench_wire_decision_encode(const Scale& s) {
   return r;
 }
 
+/// The seed's decision cache, kept here as the in-binary reference for
+/// the cached-hit regression gate: one string-keyed map with exact LRU
+/// and TTL, no internal locking.
+class LegacyTtlLruCache {
+ public:
+  LegacyTtlLruCache(const common::Clock& clock, common::Duration ttl, std::size_t capacity)
+      : clock_(clock), ttl_(ttl), capacity_(capacity) {}
+
+  std::optional<core::Decision> lookup(const std::string& key) {
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      ++misses_;
+      return std::nullopt;
+    }
+    if (clock_.now() >= it->second.expires_at) {
+      ++misses_;
+      lru_.erase(it->second.lru_position);
+      entries_.erase(it);
+      return std::nullopt;
+    }
+    ++hits_;
+    lru_.splice(lru_.begin(), lru_, it->second.lru_position);
+    return it->second.value;
+  }
+
+  void insert(const std::string& key, core::Decision value) {
+    const auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      it->second.value = std::move(value);
+      it->second.expires_at = clock_.now() + ttl_;
+      lru_.splice(lru_.begin(), lru_, it->second.lru_position);
+      return;
+    }
+    if (entries_.size() >= capacity_ && !lru_.empty()) {
+      entries_.erase(lru_.back());
+      lru_.pop_back();
+    }
+    lru_.push_front(key);
+    entries_.emplace(key, Entry{std::move(value), clock_.now() + ttl_, lru_.begin()});
+  }
+
+  double hit_ratio() const {
+    const std::uint64_t total = hits_ + misses_;
+    return total == 0 ? 0.0 : static_cast<double>(hits_) / static_cast<double>(total);
+  }
+
+ private:
+  struct Entry {
+    core::Decision value;
+    common::TimePoint expires_at;
+    std::list<std::string>::iterator lru_position;
+  };
+
+  const common::Clock& clock_;
+  common::Duration ttl_;
+  std::size_t capacity_;
+  std::unordered_map<std::string, Entry> entries_;
+  std::list<std::string> lru_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
 /// The seed's cached-decision path, reproduced for in-binary comparison:
-/// single-lock TtlLruCache keyed by the canonical string, and — as the
-/// seed's CachingEvaluator did — the key canonicalised once in lookup
-/// and AGAIN in insert on every miss.
+/// LegacyTtlLruCache keyed by the canonical string, and — as the seed's
+/// CachingEvaluator did — the key canonicalised once in lookup and AGAIN
+/// in insert on every miss.
 BenchResult bench_cached_hit_legacy(const Scale& s) {
   common::ManualClock clock;
   auto store = make_policy_store(s.policies, s.roles);
   core::Pdp pdp(store);
-  cache::TtlLruCache<std::string, core::Decision> cache(clock, 1'000'000'000, 8192);
+  LegacyTtlLruCache cache(clock, 1'000'000'000, 8192);
   const auto pool = make_request_pool(s, 512);
   auto evaluate_cached = [&](const core::RequestContext& req) {
     if (auto hit = cache.lookup(cache::canonical_request_key(req))) return *hit;
@@ -428,23 +560,22 @@ BenchResult bench_cached_hit_legacy(const Scale& s) {
     }
     return d;
   };
+  for (const auto& req : pool) evaluate_cached(req);  // fill, as the gated row does
   auto r = run_bench("cached_decision_hit_legacy", s.cache_iterations, 256,
                      [&](std::uint64_t i) {
                        benchmark_sink(evaluate_cached(pool[i % pool.size()]));
                      });
-  r.counters["hit_ratio"] = cache.stats().hit_ratio();
+  r.counters["hit_ratio"] = cache.hit_ratio();
   return r;
 }
 
-/// Multi-threaded 100%-hit traffic against the DecisionCache;
-/// `shards` = 1 measures the old single-lock behaviour, `shards` = 8 the
-/// striped one. Throughput is aggregated across threads; latency
-/// percentiles come from thread 0's batches.
-BenchResult bench_cache_mt(const Scale& s, const char* name, std::size_t shards) {
-  common::ManualClock clock;
+/// Multi-threaded 100%-hit traffic against the DecisionCache (lock-free
+/// reads). Throughput is aggregated across threads; latency percentiles
+/// come from thread 0's batches.
+BenchResult bench_cache_mt(const Scale& s) {
   auto store = make_policy_store(s.policies, s.roles);
   core::Pdp pdp(store);
-  cache::DecisionCache cache(clock, 1'000'000'000, 8192, shards);
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 8192});
   const auto pool = make_request_pool(s, 512);
   for (const auto& req : pool) {
     cache.insert(req, pdp.evaluate(req));
@@ -456,20 +587,26 @@ BenchResult bench_cache_mt(const Scale& s, const char* name, std::size_t shards)
 
   std::vector<double> samples;  // thread 0 only
   samples.reserve(static_cast<std::size_t>(per_thread / kBatch) + 1);
-  const std::uint64_t allocs_before = g_alloc_count.load();
+  std::atomic<std::uint64_t> hits{0};
+  BenchResult r;
+  const HookCounts before;
   const auto t_start = Clock::now();
   {
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t) {
       workers.emplace_back([&, t] {
         std::uint64_t done = 0;
+        std::uint64_t local_hits = 0;
         while (done < per_thread) {
           const std::uint64_t n = std::min(kBatch, per_thread - done);
           const auto b0 = Clock::now();
           for (std::uint64_t i = 0; i < n; ++i) {
             const auto& req = pool[(done + i + static_cast<std::uint64_t>(t) * 131) %
                                    pool.size()];
-            if (auto hit = cache.lookup(req)) benchmark_sink(*hit);
+            if (auto hit = cache.lookup(req)) {
+              benchmark_sink(*hit);
+              ++local_hits;
+            }
           }
           const auto b1 = Clock::now();
           if (t == 0) {
@@ -481,29 +618,27 @@ BenchResult bench_cache_mt(const Scale& s, const char* name, std::size_t shards)
           }
           done += n;
         }
+        hits.fetch_add(local_hits, std::memory_order_relaxed);
       });
     }
     for (auto& w : workers) w.join();
   }
   const auto t_end = Clock::now();
-  const std::uint64_t allocs_after = g_alloc_count.load();
-
   const std::uint64_t total_ops = per_thread * static_cast<std::uint64_t>(threads);
+  before.charge(r, total_ops);
+
   const double total_ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t_end - t_start).count());
-  BenchResult r;
-  r.name = name;
+  r.name = "cached_decision_hit_mt";
   r.iterations = total_ops;
   r.ops_per_sec = total_ns > 0 ? 1e9 * static_cast<double>(total_ops) / total_ns : 0;
   r.mean_ns = total_ns / static_cast<double>(total_ops) * threads;  // per-op CPU-ish
   r.p50_ns = percentile(samples, 0.50);
   r.p90_ns = percentile(samples, 0.90);
   r.p99_ns = percentile(samples, 0.99);
-  r.allocs_per_op =
-      static_cast<double>(allocs_after - allocs_before) / static_cast<double>(total_ops);
   r.counters["threads"] = threads;
-  r.counters["shards"] = static_cast<double>(cache.shard_count());
-  r.counters["hit_ratio"] = cache.stats().hit_ratio();
+  r.counters["hit_ratio"] =
+      static_cast<double>(hits.load()) / static_cast<double>(total_ops);
   return r;
 }
 
@@ -564,8 +699,7 @@ BenchResult bench_pdp_mt(const Scale& s, std::size_t workers) {
   // adoption count happens at warmup, so capture it first).
   const std::uint64_t warm_adoptions = engine.metrics().snapshot_adoptions;
   engine.reset_metrics();
-  const std::uint64_t allocs_before = g_alloc_count.load();
-  const std::uint64_t bytes_before = g_alloc_bytes.load();
+  const HookCounts before;
   const auto t_start = Clock::now();
   for (std::uint64_t i = 0; i < iterations; ++i) {
     auto& slot = inflight[i % kWindow];
@@ -576,13 +710,12 @@ BenchResult bench_pdp_mt(const Scale& s, std::size_t workers) {
     if (slot.valid()) benchmark_sink(slot.get().decision);
   }
   const auto t_end = Clock::now();
-  const std::uint64_t allocs_after = g_alloc_count.load();
-  const std::uint64_t bytes_after = g_alloc_bytes.load();
+  BenchResult r;
+  before.charge(r, iterations);
 
   const runtime::EngineMetrics::Snapshot m = engine.metrics();
   const double total_ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t_end - t_start).count());
-  BenchResult r;
   r.name = "pdp_mt_workers_" + std::to_string(workers);
   r.iterations = iterations;
   r.ops_per_sec = total_ns > 0 ? 1e9 * static_cast<double>(iterations) / total_ns : 0;
@@ -590,10 +723,6 @@ BenchResult bench_pdp_mt(const Scale& s, std::size_t workers) {
   r.p50_ns = m.latency_p50_ns;
   r.p90_ns = m.latency_p90_ns;
   r.p99_ns = m.latency_p99_ns;
-  r.allocs_per_op =
-      static_cast<double>(allocs_after - allocs_before) / static_cast<double>(iterations);
-  r.bytes_per_op =
-      static_cast<double>(bytes_after - bytes_before) / static_cast<double>(iterations);
   r.counters["workers"] = static_cast<double>(workers);
   r.counters["domains"] = kDomains;
   r.counters["policies"] = s.policies;
@@ -608,20 +737,16 @@ BenchResult bench_pdp_mt(const Scale& s, std::size_t workers) {
 BenchResult bench_pdp_mt_1(const Scale& s) { return bench_pdp_mt(s, 1); }
 BenchResult bench_pdp_mt_8(const Scale& s) { return bench_pdp_mt(s, 8); }
 
-/// The PR-8 contention rows: the same engine workload with a decision
-/// cache attached, in both storage modes. Two-level rows serve the hot
-/// pool from per-worker L1s (zero synchronisation) backed by the shared
-/// seqlock L2; mutex rows funnel every hit through the sharded locks —
-/// the in-binary reference that load-normalises the speedup ratio.
-/// Cache counters (the EngineMetrics surface satellite 2 adds) ride on
-/// every row so BENCH_pdp.json records where hits were served from.
+/// The engine workload with the two-level decision cache attached: the
+/// hot pool is served from per-worker L1s (zero synchronisation) backed
+/// by the shared seqlock L2. Cache counters ride on every row so
+/// BENCH_pdp.json records where hits were served from.
 /// `traced` attaches an obs::DecisionTracer with the given head-sampling
 /// cadence (0 = tracing compiled in and admitting ids, but recording no
 /// spans) — the pdp_mt_traced_* rows that pin the tracing-off overhead
 /// contract. `name_override` renames the row so traced variants don't
 /// collide with the cached baselines.
-BenchResult bench_pdp_mt_cached(const Scale& s, std::size_t workers,
-                                bool two_level, bool traced = false,
+BenchResult bench_pdp_mt_cached(const Scale& s, std::size_t workers, bool traced = false,
                                 std::uint64_t sample_every_n = 0,
                                 const char* name_override = nullptr) {
   constexpr int kDomains = 8;
@@ -629,13 +754,7 @@ BenchResult bench_pdp_mt_cached(const Scale& s, std::size_t workers,
   runtime::SnapshotPublisher publisher;
   publisher.publish(store);
 
-  common::WallClock clock;
-  auto cache = two_level
-                   ? std::make_unique<cache::DecisionCache>(
-                         cache::DecisionCache::TwoLevelConfig{.capacity = 8192})
-                   : std::make_unique<cache::DecisionCache>(
-                         clock, /*ttl=*/1'000'000'000, /*capacity=*/8192,
-                         /*shards=*/8);
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 8192});
   obs::DecisionTracer tracer(
       obs::ObsConfig{.sample_every_n = sample_every_n, .ring_capacity = 1024});
   runtime::EngineConfig config;
@@ -644,7 +763,7 @@ BenchResult bench_pdp_mt_cached(const Scale& s, std::size_t workers,
   config.max_batch = 64;
   config.l1_capacity = 1024;  // holds the whole hot pool per worker
   if (traced) config.tracer = &tracer;
-  runtime::DecisionEngine engine(publisher, config, cache.get());
+  runtime::DecisionEngine engine(publisher, config, &cache);
 
   // The hot pool is rejection-sampled to *definitive* decisions: the
   // engine only caches Permit/Deny, and a pool dominated by
@@ -692,8 +811,7 @@ BenchResult bench_pdp_mt_cached(const Scale& s, std::size_t workers,
   constexpr std::size_t kWindow = 512;
   std::vector<std::future<runtime::EngineResult>> inflight(kWindow);
   engine.reset_metrics();
-  const std::uint64_t allocs_before = g_alloc_count.load();
-  const std::uint64_t bytes_before = g_alloc_bytes.load();
+  const HookCounts before;
   const auto t_start = Clock::now();
   for (std::uint64_t i = 0; i < iterations; ++i) {
     auto& slot = inflight[i % kWindow];
@@ -704,30 +822,21 @@ BenchResult bench_pdp_mt_cached(const Scale& s, std::size_t workers,
     if (slot.valid()) benchmark_sink(slot.get().decision);
   }
   const auto t_end = Clock::now();
-  const std::uint64_t allocs_after = g_alloc_count.load();
-  const std::uint64_t bytes_after = g_alloc_bytes.load();
+  BenchResult r;
+  before.charge(r, iterations);
 
   const runtime::EngineMetrics::Snapshot m = engine.metrics();
   const double total_ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t_end - t_start).count());
-  BenchResult r;
-  r.name = name_override != nullptr
-               ? std::string(name_override)
-               : std::string(two_level ? "pdp_mt_cached_workers_"
-                                       : "pdp_mt_cached_mutex_workers_") +
-                     std::to_string(workers);
+  r.name = name_override != nullptr ? std::string(name_override)
+                                    : "pdp_mt_cached_workers_" + std::to_string(workers);
   r.iterations = iterations;
   r.ops_per_sec = total_ns > 0 ? 1e9 * static_cast<double>(iterations) / total_ns : 0;
   r.mean_ns = total_ns / static_cast<double>(iterations);
   r.p50_ns = m.latency_p50_ns;
   r.p90_ns = m.latency_p90_ns;
   r.p99_ns = m.latency_p99_ns;
-  r.allocs_per_op =
-      static_cast<double>(allocs_after - allocs_before) / static_cast<double>(iterations);
-  r.bytes_per_op =
-      static_cast<double>(bytes_after - bytes_before) / static_cast<double>(iterations);
   r.counters["workers"] = static_cast<double>(workers);
-  r.counters["two_level"] = two_level ? 1 : 0;
   r.counters["sheds"] = static_cast<double>(m.sheds());
   r.counters["l1_hits"] = static_cast<double>(m.l1_hits);
   r.counters["l2_hits"] = static_cast<double>(m.l2_hits);
@@ -746,30 +855,19 @@ BenchResult bench_pdp_mt_cached(const Scale& s, std::size_t workers,
   return r;
 }
 
-BenchResult bench_pdp_mt_cached_1(const Scale& s) {
-  return bench_pdp_mt_cached(s, 1, /*two_level=*/true);
-}
-BenchResult bench_pdp_mt_cached_8(const Scale& s) {
-  return bench_pdp_mt_cached(s, 8, /*two_level=*/true);
-}
-BenchResult bench_pdp_mt_cached_mutex_1(const Scale& s) {
-  return bench_pdp_mt_cached(s, 1, /*two_level=*/false);
-}
-BenchResult bench_pdp_mt_cached_mutex_8(const Scale& s) {
-  return bench_pdp_mt_cached(s, 8, /*two_level=*/false);
-}
+BenchResult bench_pdp_mt_cached_8(const Scale& s) { return bench_pdp_mt_cached(s, 8); }
 /// Tracing compiled in, sampling off: the hot path pays one relaxed
 /// fetch_add per submission and nothing else. The in-binary overhead
 /// gate holds this row within 3% of pdp_mt_cached_workers_8.
 BenchResult bench_pdp_mt_traced_off(const Scale& s) {
-  return bench_pdp_mt_cached(s, 8, /*two_level=*/true, /*traced=*/true,
-                             /*sample_every_n=*/0, "pdp_mt_traced_off");
+  return bench_pdp_mt_cached(s, 8, /*traced=*/true, /*sample_every_n=*/0,
+                             "pdp_mt_traced_off");
 }
 /// Every 1024th decision records full spans + publishes to the ring —
 /// the sampled cost an operator actually runs with.
 BenchResult bench_pdp_mt_traced_sampled(const Scale& s) {
-  return bench_pdp_mt_cached(s, 8, /*two_level=*/true, /*traced=*/true,
-                             /*sample_every_n=*/1024, "pdp_mt_traced_sampled");
+  return bench_pdp_mt_cached(s, 8, /*traced=*/true, /*sample_every_n=*/1024,
+                             "pdp_mt_traced_sampled");
 }
 
 /// Deliberate overload: a tiny queue bound, fire-and-forget callback
@@ -802,7 +900,7 @@ BenchResult bench_pdp_engine_saturation(const Scale& s) {
   engine.reset_metrics();
 
   const std::uint64_t iterations = s.iterations;
-  const std::uint64_t allocs_before = g_alloc_count.load();
+  const HookCounts before;
   const auto t_start = Clock::now();
   for (std::uint64_t i = 0; i < iterations; ++i) {
     engine.submit(pool[i % pool.size()],
@@ -810,13 +908,13 @@ BenchResult bench_pdp_engine_saturation(const Scale& s) {
   }
   engine.shutdown(runtime::DecisionEngine::Drain::kDrain);
   const auto t_end = Clock::now();
-  const std::uint64_t allocs_after = g_alloc_count.load();
+  BenchResult r;
+  before.charge(r, iterations);
 
   const runtime::EngineMetrics::Snapshot m = engine.metrics();
   const double total_ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t_end - t_start).count());
   const std::uint64_t decided = m.decided;
-  BenchResult r;
   r.name = "pdp_engine_saturation";
   r.iterations = iterations;
   r.ops_per_sec = total_ns > 0 ? 1e9 * static_cast<double>(decided) / total_ns : 0;
@@ -824,8 +922,6 @@ BenchResult bench_pdp_engine_saturation(const Scale& s) {
   r.p50_ns = m.latency_p50_ns;
   r.p90_ns = m.latency_p90_ns;
   r.p99_ns = m.latency_p99_ns;
-  r.allocs_per_op = static_cast<double>(allocs_after - allocs_before) /
-                    static_cast<double>(iterations);
   r.counters["workers"] = static_cast<double>(config.workers);
   r.counters["queue_capacity"] = static_cast<double>(config.queue_capacity);
   r.counters["submitted"] = static_cast<double>(m.submitted);
@@ -880,16 +976,18 @@ BenchResult bench_fault_plan(const Scale& s, const std::string& plan_name) {
                       });
     });
   }
+  const HookCounts before;
   const auto t0 = Clock::now();
   sim.run();
   const auto t1 = Clock::now();
+  BenchResult r;
+  before.charge(r, kRequests);
 
   std::string row_name = "fault_plan_" + plan_name;
   std::replace(row_name.begin(), row_name.end(), '-', '_');
   const double wall_ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
   const dependability::DispatchStats& stats = client.stats();
-  BenchResult r;
   r.name = row_name;
   r.iterations = kRequests;
   r.ops_per_sec = wall_ns > 0 ? 1e9 * kRequests / wall_ns : 0;
@@ -934,8 +1032,10 @@ BenchResult bench_analysis_lint(const Scale& s) {
 }
 
 void print_row(const BenchResult& r) {
-  std::printf("%-32s %12.0f ops/s  p50 %8.0f ns  p99 %8.0f ns  %7.2f allocs/op\n",
-              r.name.c_str(), r.ops_per_sec, r.p50_ns, r.p99_ns, r.allocs_per_op);
+  std::printf("%-32s %12.0f ops/s  p50 %8.0f ns  p99 %8.0f ns  %7.2f allocs/op  "
+              "%7.3g locks/op\n",
+              r.name.c_str(), r.ops_per_sec, r.p50_ns, r.p99_ns, r.allocs_per_op,
+              r.locks_per_op);
 }
 
 /// Reads one benchmark's ops_per_sec out of a previously written report
@@ -1005,8 +1105,6 @@ int check_regression(const Scale& scale, const Report& report,
        /*min_cores=*/0, /*extra_slack=*/0.20},
       {"pdp_mt_workers_8", "pdp_mt_workers_1", &bench_pdp_mt_8, &bench_pdp_mt_1,
        /*min_cores=*/8},
-      {"pdp_mt_cached_workers_8", "pdp_mt_cached_mutex_workers_8",
-       &bench_pdp_mt_cached_8, &bench_pdp_mt_cached_mutex_8, /*min_cores=*/8},
   };
 
   int failures = 0;
@@ -1056,70 +1154,71 @@ int check_regression(const Scale& scale, const Report& report,
   return failures > 0 ? 1 : 0;
 }
 
-/// The PR-8 acceptance floors, checked in-binary (no baseline file
-/// needed — both rows of each ratio are measured in the same process
-/// under the same load):
-///   * contended speedup: the two-level cache must serve the 8-worker
-///     hot-pool workload at >= 1.5x the mutex-sharded cache. Only
-///     meaningful with >= 8 cores — below that, both sides measure the
-///     scheduler, so the check skips itself.
-///   * uncontended cost: at 1 worker the two-level path (L1 probe +
-///     seqlock fallback) must stay within 10% of the mutex cache.
-///     Needs >= 2 cores so the submitter thread isn't time-slicing
-///     against the one worker.
-/// A below-floor first sample is re-measured before failing, like the
-/// baseline gates.
-int check_cached_speedup_floor(const Scale& scale, const Report& report) {
-  struct Floor {
-    const char* gated;
-    const char* reference;
-    BenchResult (*run_gated)(const Scale&);
-    BenchResult (*run_reference)(const Scale&);
-    double min_ratio;
-    unsigned min_cores;
-  };
-  static constexpr Floor kFloors[] = {
-      {"pdp_mt_cached_workers_8", "pdp_mt_cached_mutex_workers_8",
-       &bench_pdp_mt_cached_8, &bench_pdp_mt_cached_mutex_8, 1.5, 8},
-      {"pdp_mt_cached_workers_1", "pdp_mt_cached_mutex_workers_1",
-       &bench_pdp_mt_cached_1, &bench_pdp_mt_cached_mutex_1, 0.90, 2},
-      // The ISSUE-9 hot-path cost contract: tracing compiled in with
-      // sampling OFF stays within 3% of the untraced 8-worker cached
-      // row. Needs the same 8-core floor as that row; a below-floor
-      // first sample is re-measured before failing (machine noise
-      // between the two process phases, not code, is the usual cause).
-      {"pdp_mt_traced_off", "pdp_mt_cached_workers_8", &bench_pdp_mt_traced_off,
-       &bench_pdp_mt_cached_8, 0.97, 8},
-  };
+/// The tracing hot-path cost contract, checked in-binary (no
+/// baseline file needed — both rows are measured in the same process
+/// under the same load): tracing compiled in with sampling OFF stays
+/// within 3% of the untraced 8-worker cached row. Only meaningful with
+/// >= 8 cores — below that, both sides measure the scheduler, so the
+/// check skips itself. A below-floor first sample is re-measured before
+/// failing (machine noise between the two process phases, not code, is
+/// the usual cause).
+int check_traced_overhead_floor(const Scale& scale, const Report& report) {
+  constexpr const char* kGated = "pdp_mt_traced_off";
+  constexpr const char* kReference = "pdp_mt_cached_workers_8";
+  constexpr double kMinRatio = 0.97;
+  constexpr unsigned kMinCores = 8;
+  if (std::thread::hardware_concurrency() < kMinCores) {
+    std::printf("speedup floor: %s needs >=%u cores (have %u); skipping\n", kGated,
+                kMinCores, std::thread::hardware_concurrency());
+    return 0;
+  }
+  double gated = 0;
+  double reference = 0;
+  for (const BenchResult& r : report.results()) {
+    if (r.name == kGated) gated = r.ops_per_sec;
+    if (r.name == kReference) reference = r.ops_per_sec;
+  }
+  if (reference <= 0) return 0;
+  double ratio = gated / reference;
+  for (int attempt = 0; ratio < kMinRatio && attempt < 2; ++attempt) {
+    std::printf("speedup floor: %s ratio %.2f below %.2f; re-measuring\n", kGated, ratio,
+                kMinRatio);
+    const double g = bench_pdp_mt_traced_off(scale).ops_per_sec;
+    const double ref = bench_pdp_mt_cached_8(scale).ops_per_sec;
+    if (ref > 0) ratio = std::max(ratio, g / ref);
+  }
+  std::printf("speedup floor: %s %.2fx the %s row (floor %.2fx)\n", kGated, ratio,
+              kReference, kMinRatio);
+  if (ratio < kMinRatio) {
+    std::fprintf(stderr, "FAIL: %s is %.2fx %s (floor %.2fx)\n", kGated, ratio, kReference,
+                 kMinRatio);
+    return 1;
+  }
+  return 0;
+}
 
+/// Lock acquisitions per cached hit must be exactly zero: the decision
+/// cache's read path (PEP-side, multi-threaded, and behind the engine's
+/// L1) is lock-free by design, and a lock count does not depend on core
+/// count or machine load, so this gate holds on any host. Skips in
+/// sanitized builds, which do not count locks.
+int check_lock_free_hits(const Report& report) {
+  static constexpr const char* kLockFreeRows[] = {
+      "cached_decision_hit", "cached_decision_hit_mt", "pdp_mt_cached_workers_1"};
+  if (!kCountsLocks) {
+    std::printf("lock gate: sanitized build counts no locks; skipping\n");
+    return 0;
+  }
   int failures = 0;
-  for (const Floor& floor : kFloors) {
-    if (std::thread::hardware_concurrency() < floor.min_cores) {
-      std::printf("speedup floor: %s needs >=%u cores (have %u); skipping\n",
-                  floor.gated, floor.min_cores, std::thread::hardware_concurrency());
-      continue;
-    }
-    double gated = 0;
-    double reference = 0;
+  for (const char* name : kLockFreeRows) {
     for (const BenchResult& r : report.results()) {
-      if (r.name == floor.gated) gated = r.ops_per_sec;
-      if (r.name == floor.reference) reference = r.ops_per_sec;
-    }
-    if (reference <= 0) continue;
-    double ratio = gated / reference;
-    for (int attempt = 0; ratio < floor.min_ratio && attempt < 2; ++attempt) {
-      std::printf("speedup floor: %s ratio %.2f below %.2f; re-measuring\n",
-                  floor.gated, ratio, floor.min_ratio);
-      const double g = floor.run_gated(scale).ops_per_sec;
-      const double ref = floor.run_reference(scale).ops_per_sec;
-      if (ref > 0) ratio = std::max(ratio, g / ref);
-    }
-    std::printf("speedup floor: %s %.2fx the %s row (floor %.2fx)\n", floor.gated,
-                ratio, floor.reference, floor.min_ratio);
-    if (ratio < floor.min_ratio) {
-      std::fprintf(stderr, "FAIL: %s is %.2fx %s (floor %.2fx)\n", floor.gated,
-                   ratio, floor.reference, floor.min_ratio);
-      ++failures;
+      if (r.name != name) continue;
+      std::printf("lock gate: %s %.6g locks/op (must be 0)\n", name, r.locks_per_op);
+      if (r.locks_per_op != 0) {
+        std::fprintf(stderr, "FAIL: %s takes %.6g locks per op (must be 0)\n", name,
+                     r.locks_per_op);
+        ++failures;
+      }
     }
   }
   return failures > 0 ? 1 : 0;
@@ -1184,12 +1283,7 @@ int run(int argc, char** argv) {
     report.add(std::move(r));
   }
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-    BenchResult r = bench_pdp_mt_cached(scale, workers, /*two_level=*/true);
-    print_row(r);
-    report.add(std::move(r));
-  }
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
-    BenchResult r = bench_pdp_mt_cached(scale, workers, /*two_level=*/false);
+    BenchResult r = bench_pdp_mt_cached(scale, workers);
     print_row(r);
     report.add(std::move(r));
   }
@@ -1198,16 +1292,8 @@ int run(int argc, char** argv) {
     print_row(r);
     report.add(std::move(r));
   }
-  {
-    BenchResult r = bench_pdp_engine_saturation(scale);
-    print_row(r);
-    report.add(std::move(r));
-  }
-  for (const auto& [name, shards] :
-       std::initializer_list<std::pair<const char*, std::size_t>>{
-           {"cached_decision_hit_mt_sharded", 8},
-           {"cached_decision_hit_mt_single_shard", 1}}) {
-    BenchResult r = bench_cache_mt(scale, name, shards);
+  for (auto* bench : {&bench_pdp_engine_saturation, &bench_cache_mt}) {
+    BenchResult r = (*bench)(scale);
     print_row(r);
     report.add(std::move(r));
   }
@@ -1241,7 +1327,8 @@ int run(int argc, char** argv) {
       failures = 1;
     }
   }
-  failures |= check_cached_speedup_floor(scale, report);
+  failures |= check_traced_overhead_floor(scale, report);
+  failures |= check_lock_free_hits(report);
   if (!baseline.empty()) {
     failures |= check_regression(scale, report, baseline, max_regress);
   }

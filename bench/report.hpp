@@ -18,8 +18,8 @@
 namespace mdac::bench {
 
 /// One benchmark row. Latency percentiles are nanoseconds per operation,
-/// derived from batched samples; allocation figures come from the global
-/// operator-new hook in bench_main.cpp.
+/// derived from batched samples; allocation and lock figures come from
+/// the global operator-new and pthread_mutex_lock hooks in bench_main.cpp.
 struct BenchResult {
   std::string name;
   std::uint64_t iterations = 0;
@@ -30,6 +30,9 @@ struct BenchResult {
   double p99_ns = 0;
   double allocs_per_op = 0;
   double bytes_per_op = 0;
+  /// pthread_mutex_lock calls per op; < 0 when not counted (sanitized
+  /// builds), and then omitted from the report.
+  double locks_per_op = -1;
   /// Benchmark-specific extra series (hit ratios, skip counts, ...).
   std::map<std::string, double> counters;
 };
@@ -71,6 +74,7 @@ class Report {
       os << "      \"p99_ns\": " << num(r.p99_ns) << ",\n";
       os << "      \"allocs_per_op\": " << num(r.allocs_per_op) << ",\n";
       os << "      \"bytes_per_op\": " << num(r.bytes_per_op);
+      if (r.locks_per_op >= 0) os << ",\n      \"locks_per_op\": " << num(r.locks_per_op);
       if (!r.counters.empty()) {
         os << ",\n      \"counters\": {";
         bool first = true;

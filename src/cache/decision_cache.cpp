@@ -45,36 +45,23 @@ void StalenessProbe::observe(const core::Decision& cached,
 
 std::uint64_t DecisionCache::register_metrics(obs::Registry& registry) const {
   return registry.add_collector([this](obs::MetricSink& sink) {
-    const char* mode = mode_ == Mode::kMutexSharded ? "mutex-sharded" : "two-level";
-    sink.gauge("mdac_cache_size", "Entries currently cached.",
-               static_cast<double>(size()), {{"mode", mode}});
-    const CacheStats s = stats();
-    sink.counter("mdac_cache_store_hits_total",
-                 "Store-level hits (mutex-sharded mode only; two-level hit "
-                 "counts live in the engine metrics).",
-                 static_cast<double>(s.hits), {{"mode", mode}});
-    sink.counter("mdac_cache_store_misses_total",
-                 "Store-level misses (mutex-sharded mode only).",
-                 static_cast<double>(s.misses), {{"mode", mode}});
+    sink.gauge("mdac_cache_size", "Entries currently cached.", static_cast<double>(size()));
+    const SeqlockCacheStats s = stats();
     sink.counter("mdac_cache_expirations_total", "Entries dropped by TTL expiry.",
-                 static_cast<double>(s.expirations), {{"mode", mode}});
+                 static_cast<double>(s.expirations));
     sink.counter("mdac_cache_evictions_total", "Entries evicted for capacity.",
-                 static_cast<double>(s.evictions), {{"mode", mode}});
+                 static_cast<double>(s.evictions));
     sink.counter("mdac_cache_invalidations_total",
                  "Entries dropped by invalidate_all or the version sweep.",
-                 static_cast<double>(s.invalidations), {{"mode", mode}});
-    if (mode_ == Mode::kTwoLevel) {
-      const SeqlockCacheStats sl = seqlock_stats();
-      sink.counter("mdac_cache_seqlock_inserts_total",
-                   "Seqlock slot writes for new keys.",
-                   static_cast<double>(sl.inserts), {{"mode", mode}});
-      sink.counter("mdac_cache_seqlock_updates_total",
-                   "Seqlock in-place updates of existing keys.",
-                   static_cast<double>(sl.updates), {{"mode", mode}});
-      sink.counter("mdac_cache_seqlock_rejected_oversize_total",
-                   "Decisions too large for a slot, not cached.",
-                   static_cast<double>(sl.rejected_oversize), {{"mode", mode}});
-    }
+                 static_cast<double>(s.version_evictions + s.invalidations));
+    sink.counter("mdac_cache_seqlock_inserts_total", "Seqlock slot writes for new keys.",
+                 static_cast<double>(s.inserts));
+    sink.counter("mdac_cache_seqlock_updates_total",
+                 "Seqlock in-place updates of existing keys.",
+                 static_cast<double>(s.updates));
+    sink.counter("mdac_cache_seqlock_rejected_oversize_total",
+                 "Decisions too large for a slot, not cached.",
+                 static_cast<double>(s.rejected_oversize));
   });
 }
 

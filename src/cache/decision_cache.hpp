@@ -1,22 +1,20 @@
-// Decision caching at the enforcement point (paper §3.2, "Communication
-// Performance", citing Woo & Lam's caching proposal [61]).
+// Decision caching (paper §3.2, "Communication Performance", citing Woo
+// & Lam's caching proposal [61]).
 //
-// The cache key is the request's 128-bit fingerprint (request_key.hpp)
-// plus the snapshot version the decision was computed under — so
-// republication implicitly invalidates, and `evict_older_than` reclaims
-// entries of withdrawn versions. Two storage modes behind one facade:
+// One store: the seqlock slot table (seqlock_cache.hpp), whose hit path
+// is lock-free. Its key is the request's 128-bit fingerprint
+// (request_key.hpp) plus the snapshot version the decision was computed
+// under — so republication implicitly invalidates, and
+// `evict_older_than` reclaims entries of withdrawn versions. Two kinds
+// of caller share it:
 //
-//   * kMutexSharded — the original N-way sharded TTL+LRU cache
-//     (sharded_cache.hpp). Exact LRU and TTL, one mutex per shard. This
-//     is what a multi-threaded PEP uses (CachingEvaluator stays here).
-//   * kTwoLevel — the shared L2 of the engine's two-level design: a
-//     seqlock slot table (seqlock_cache.hpp) whose hit path is
-//     lock-free, optionally split into independent placement *groups*
-//     (one per NUMA-ish worker group; a decision cached in one group is
-//     invisible to the others — duplication across groups is the point,
-//     it keeps each group's slots local to the workers that hit them).
-//     The per-worker L1 in front of it is `WorkerL1Cache` below, owned
-//     by the engine's worker state, not by this facade.
+//   * The engine (runtime/engine.hpp) keys by snapshot version and
+//     fronts the table with a per-worker L1 (`WorkerL1Cache` below) —
+//     together, the two-level decision cache. An L1 cannot honour an
+//     expiry, so the engine refuses a cache with a TTL.
+//   * PEP-side callers (`CachingEvaluator`, `pep::EnforcementPoint`)
+//     store under version 0 and usually set a TTL: with no version
+//     stream, time is what bounds staleness.
 //
 // The paper's warning — stale entries cause false permits / false denies
 // — is exactly what experiment C1 quantifies, using `StalenessProbe` to
@@ -26,15 +24,13 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "cache/request_key.hpp"
 #include "cache/seqlock_cache.hpp"
-#include "cache/sharded_cache.hpp"
+#include "common/clock.hpp"
 #include "core/decision.hpp"
 #include "core/request.hpp"
 
@@ -50,50 +46,21 @@ namespace mdac::cache {
 /// allocation-free `fingerprint()`.
 std::string canonical_request_key(const core::RequestContext& request);
 
-/// (fingerprint, snapshot version) — the storage key for both modes.
-struct VersionedKey {
-  RequestKey key;
-  std::uint64_t version = 0;
-
-  bool operator==(const VersionedKey&) const = default;
-};
-
-struct VersionedKeyHash {
-  std::size_t operator()(const VersionedKey& k) const noexcept {
-    return static_cast<std::size_t>(k.key.lo ^ (k.key.hi * 0x9E3779B97F4A7C15ULL) ^
-                                    ((k.version + 1) * 0xFF51AFD7ED558CCDULL));
-  }
-};
-
 class DecisionCache {
  public:
-  enum class Mode { kMutexSharded, kTwoLevel };
-
   struct TwoLevelConfig {
-    std::size_t capacity = 4096;  // total slots across all groups
-    std::size_t groups = 1;       // independent seqlock instances
+    std::size_t capacity = 4096;  // total slots
+    /// Entry lifetime in ms; 0 = entries never expire (the engine's
+    /// version-keyed use, which requires it).
+    common::Duration ttl = 0;
+    /// Time source for `ttl`; not owned, required when ttl > 0.
+    const common::Clock* clock = nullptr;
   };
 
-  /// Mutex-sharded mode (the PEP/CachingEvaluator default). `capacity`
-  /// is the total across all shards (rounded up to a multiple of the
-  /// shard count, see ShardedTtlLruCache); `shards` is rounded up to a
-  /// power of two.
-  DecisionCache(const common::Clock& clock, common::Duration ttl,
-                std::size_t capacity = 4096, std::size_t shards = 8)
-      : mode_(Mode::kMutexSharded),
-        sharded_(std::make_unique<ShardedStore>(clock, ttl, capacity, shards)) {}
-
-  /// Two-level mode (the engine's shared L2). No TTL: version-carrying
-  /// keys plus the version sweep make time-based expiry redundant, and
-  /// the slot table's capacity bounds memory.
-  explicit DecisionCache(const TwoLevelConfig& config) : mode_(Mode::kTwoLevel) {
-    const std::size_t groups = config.groups == 0 ? 1 : config.groups;
-    const std::size_t per_group = (config.capacity + groups - 1) / groups;
-    groups_.reserve(groups);
-    for (std::size_t i = 0; i < groups; ++i) {
-      groups_.push_back(std::make_unique<SeqlockDecisionCache>(per_group));
-    }
-  }
+  /// Throws std::invalid_argument for a negative ttl or a positive one
+  /// without a clock.
+  explicit DecisionCache(const TwoLevelConfig& config)
+      : store_(config.capacity, config.ttl, config.clock) {}
 
   // ---- unversioned API (PEP-side callers; stored under version 0) ----
 
@@ -115,113 +82,46 @@ class DecisionCache {
 
   // ---- versioned API (the engine) ----
 
-  /// `group` selects the placement group in two-level mode (ignored —
-  /// there is one store — in mutex mode). In two-level mode seqlock
-  /// read retries are *added* to `*l2_retries` when non-null.
+  /// Lock-free. Seqlock read retries are *added* to `*l2_retries` when
+  /// non-null.
   std::optional<core::Decision> lookup(const RequestKey& key, std::uint64_t version,
-                                       std::size_t group = 0,
-                                       std::uint64_t* l2_retries = nullptr) {
-    if (mode_ == Mode::kMutexSharded) {
-      return sharded_->lookup(VersionedKey{key, version});
-    }
+                                       std::uint64_t* l2_retries = nullptr) const {
     core::Decision d;
-    if (group_at(group).lookup(key, version, d, l2_retries)) return d;
+    if (store_.lookup(key, version, d, l2_retries)) return d;
     return std::nullopt;
   }
 
-  void insert(const RequestKey& key, std::uint64_t version, const core::Decision& decision,
-              std::size_t group = 0) {
-    if (mode_ == Mode::kMutexSharded) {
-      sharded_->insert(VersionedKey{key, version}, decision);
-      return;
-    }
-    group_at(group).insert(key, version, decision);
+  void insert(const RequestKey& key, std::uint64_t version, const core::Decision& decision) {
+    store_.insert(key, version, decision);
   }
 
   /// Version sweep: drops every entry cached under a snapshot version
-  /// < `version` (all groups in two-level mode). Returns the number of
-  /// entries reclaimed. The engine calls this on snapshot adoption with
-  /// the minimum version any worker still serves.
+  /// < `version`. Returns the number of entries reclaimed. The engine
+  /// calls this on snapshot adoption with the minimum version any
+  /// worker still serves.
   std::size_t evict_older_than(std::uint64_t version) {
-    if (mode_ == Mode::kMutexSharded) {
-      return sharded_->evict_if(
-          [version](const VersionedKey& k) { return k.version < version; });
-    }
-    std::size_t removed = 0;
-    for (auto& g : groups_) removed += g->evict_older_than(version);
-    return removed;
+    return store_.evict_older_than(version);
   }
 
   /// Policy-change notification: drop everything.
-  void invalidate_all() {
-    if (mode_ == Mode::kMutexSharded) {
-      sharded_->invalidate_all();
-      return;
-    }
-    for (auto& g : groups_) g->clear();
-  }
+  void invalidate_all() { store_.clear(); }
 
-  /// Targeted invalidation (e.g. a revoked subject). Mutex mode only —
-  /// two-level entries are version-scoped and swept wholesale; returns
-  /// false there.
-  bool invalidate(const core::RequestContext& request) {
-    if (mode_ != Mode::kMutexSharded) return false;
-    return sharded_->invalidate(VersionedKey{fingerprint(request), 0});
-  }
+  /// Writer-side counters, a snapshot, not a live reference. The
+  /// lock-free read path deliberately counts nothing shared: callers
+  /// count their own hits (the engine in its per-worker metrics, a
+  /// CachingEvaluator caller by counting evaluator calls).
+  SeqlockCacheStats stats() const { return store_.stats(); }
 
-  /// Aggregated counters, a snapshot, not a live reference. In mutex
-  /// mode these are the exact per-shard hit/miss counters. In two-level
-  /// mode only *writer-side* counters exist (evictions, invalidations =
-  /// version sweeps + clears) — the lock-free read path deliberately
-  /// counts nothing shared; hits/misses live in the engine's per-worker
-  /// metrics.
-  CacheStats stats() const {
-    if (mode_ == Mode::kMutexSharded) return sharded_->stats();
-    CacheStats s;
-    const SeqlockCacheStats sl = seqlock_stats();
-    s.evictions = sl.evictions;
-    s.invalidations = sl.version_evictions + sl.invalidations;
-    return s;
-  }
+  std::size_t size() const { return store_.size(); }
+  common::Duration ttl() const { return store_.ttl(); }
 
-  /// Two-level mode writer-side counters summed over groups (all zero in
-  /// mutex mode).
-  SeqlockCacheStats seqlock_stats() const {
-    SeqlockCacheStats total;
-    for (const auto& g : groups_) total += g->stats();
-    return total;
-  }
-
-  std::size_t size() const {
-    if (mode_ == Mode::kMutexSharded) return sharded_->size();
-    std::size_t total = 0;
-    for (const auto& g : groups_) total += g->size();
-    return total;
-  }
-
-  std::size_t shard_count() const {
-    return mode_ == Mode::kMutexSharded ? sharded_->shard_count() : 0;
-  }
-
-  Mode mode() const { return mode_; }
-  std::size_t group_count() const { return groups_.size(); }
-
-  /// Registers the cache's counters (mdac_cache_*: store hits/misses in
-  /// mutex mode, seqlock writer-side counters in two-level mode, size)
-  /// with a metrics registry; returns the collector id. The cache must
-  /// outlive the registry or be unregistered first.
+  /// Registers the cache's counters (mdac_cache_*: the writer-side
+  /// counters and size) with a metrics registry; returns the collector
+  /// id. The cache must outlive the registry or be unregistered first.
   std::uint64_t register_metrics(obs::Registry& registry) const;
 
  private:
-  using ShardedStore = ShardedTtlLruCache<VersionedKey, core::Decision, VersionedKeyHash>;
-
-  SeqlockDecisionCache& group_at(std::size_t group) {
-    return *groups_[group < groups_.size() ? group : 0];
-  }
-
-  Mode mode_;
-  std::unique_ptr<ShardedStore> sharded_;               // kMutexSharded
-  std::vector<std::unique_ptr<SeqlockDecisionCache>> groups_;  // kTwoLevel
+  SeqlockDecisionCache store_;
 };
 
 /// The per-worker L1: a bounded LRU with ZERO synchronisation. Each
@@ -292,9 +192,9 @@ class WorkerL1Cache {
 };
 
 /// Wraps an evaluation function with the cache: the shape a PEP uses.
-/// Deliberately stays on the single-level (mutex-sharded) path — a PEP's
-/// threads are not the engine's workers; they have no worker-local state
-/// to hang an L1 off, and no snapshot-version stream to flush it on.
+/// Single-level: a PEP's threads are not the engine's workers; they have
+/// no worker-local state to hang an L1 off, and no snapshot-version
+/// stream to flush it on, so they probe the shared slot table directly.
 class CachingEvaluator {
  public:
   using Evaluate = std::function<core::Decision(const core::RequestContext&)>;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <stdexcept>
 
 namespace mdac::cache {
 
@@ -201,7 +202,12 @@ bool decode_decision(const std::uint8_t* data, std::size_t len, core::Decision& 
 // SeqlockDecisionCache
 // ---------------------------------------------------------------------
 
-SeqlockDecisionCache::SeqlockDecisionCache(std::size_t capacity) {
+SeqlockDecisionCache::SeqlockDecisionCache(std::size_t capacity, common::Duration ttl,
+                                           const common::Clock* clock)
+    : ttl_(ttl), clock_(clock) {
+  if (ttl < 0 || (ttl > 0 && clock == nullptr)) {
+    throw std::invalid_argument("decision cache: a ttl must be >= 0, and > 0 needs a clock");
+  }
   const std::size_t want_buckets = (std::max<std::size_t>(capacity, kWays) + kWays - 1) / kWays;
   const std::size_t buckets = std::bit_ceil(want_buckets);
   bucket_mask_ = buckets - 1;
@@ -220,9 +226,15 @@ std::uint64_t SeqlockDecisionCache::slot_hash(const RequestKey& key, std::uint64
   return h;
 }
 
+std::uint64_t SeqlockDecisionCache::expiry_now() const {
+  if (ttl_ == 0) return 0;
+  return static_cast<std::uint64_t>(std::max<common::TimePoint>(clock_->now(), 0));
+}
+
 bool SeqlockDecisionCache::lookup(const RequestKey& key, std::uint64_t version,
                                   core::Decision& out, std::uint64_t* retries) const {
   const std::size_t bucket = static_cast<std::size_t>(slot_hash(key, version)) & bucket_mask_;
+  const std::uint64_t now = expiry_now();
   std::uint64_t local_retries = 0;
   bool hit = false;
   for (std::size_t way = 0; way < kWays && !hit; ++way) {
@@ -246,10 +258,11 @@ bool SeqlockDecisionCache::lookup(const RequestKey& key, std::uint64_t version,
         }
         break;
       }
-      const std::uint64_t len = slot.meta.load(std::memory_order_acquire);
+      const std::uint64_t meta = slot.meta.load(std::memory_order_acquire);
+      const std::size_t len = meta_length(meta);
       std::uint64_t buf[kPayloadWords];
       if (len != 0 && len <= kMaxEncodedBytes) {
-        const std::size_t words = (static_cast<std::size_t>(len) + 7) / 8;
+        const std::size_t words = (len + 7) / 8;
         for (std::size_t i = 0; i < words; ++i) {
           buf[i] = slot.payload[i].load(std::memory_order_acquire);
         }
@@ -262,8 +275,8 @@ bool SeqlockDecisionCache::lookup(const RequestKey& key, std::uint64_t version,
         continue;
       }
       if (len == 0 || len > kMaxEncodedBytes) break;  // cleared slot
-      if (!decode_decision(reinterpret_cast<const std::uint8_t*>(buf),
-                           static_cast<std::size_t>(len), out)) {
+      if (meta_expired(meta, now)) break;
+      if (!decode_decision(reinterpret_cast<const std::uint8_t*>(buf), len, out)) {
         break;  // cannot happen for slots we wrote; treat as a miss
       }
       hit = true;
@@ -286,33 +299,36 @@ bool SeqlockDecisionCache::insert(const RequestKey& key, std::uint64_t version,
     return false;
   }
 
-  // Slot choice: exact (key, version) match > empty > round-robin victim.
-  Slot* target = nullptr;
-  bool existing = false;
-  bool empty = false;
-  for (std::size_t way = 0; way < kWays; ++way) {
+  // Slot choice: exact (key, version) match > empty > expired >
+  // round-robin victim.
+  const std::uint64_t now = expiry_now();
+  Slot* existing = nullptr;
+  Slot* empty = nullptr;
+  Slot* expired = nullptr;
+  for (std::size_t way = 0; way < kWays && existing == nullptr; ++way) {
     Slot& s = slots_[bucket * kWays + way];
     // Relaxed loads are exact here: all writes to this bucket happen
     // under the shard mutex we hold.
-    if (s.meta.load(std::memory_order_relaxed) == 0) {
-      if (target == nullptr) {
-        target = &s;
-        empty = true;
-      }
-      continue;
-    }
-    if (s.key_lo.load(std::memory_order_relaxed) == key.lo &&
-        s.key_hi.load(std::memory_order_relaxed) == key.hi &&
-        s.version.load(std::memory_order_relaxed) == version) {
-      target = &s;
-      existing = true;
-      empty = false;
-      break;
+    const std::uint64_t meta = s.meta.load(std::memory_order_relaxed);
+    if (meta == 0) {
+      if (empty == nullptr) empty = &s;
+    } else if (s.key_lo.load(std::memory_order_relaxed) == key.lo &&
+               s.key_hi.load(std::memory_order_relaxed) == key.hi &&
+               s.version.load(std::memory_order_relaxed) == version) {
+      existing = &s;
+    } else if (expired == nullptr && meta_expired(meta, now)) {
+      expired = &s;
     }
   }
-  if (target == nullptr) {
-    target = &slots_[bucket * kWays + (ws.victim_counter++ % kWays)];
-  }
+  Slot* target = existing != nullptr ? existing
+                 : empty != nullptr  ? empty
+                 : expired != nullptr
+                     ? expired
+                     : &slots_[bucket * kWays + (ws.victim_counter++ % kWays)];
+  const std::uint64_t expires_at =
+      ttl_ == 0 ? 0
+                : std::clamp<std::uint64_t>(now + static_cast<std::uint64_t>(ttl_), 1,
+                                            kMaxExpiry);
 
   const std::uint64_t s0 = target->seq.load(std::memory_order_relaxed);
   target->seq.store(s0 + 1, std::memory_order_relaxed);  // odd: write begins
@@ -321,7 +337,7 @@ bool SeqlockDecisionCache::insert(const RequestKey& key, std::uint64_t version,
   target->key_lo.store(key.lo, std::memory_order_release);
   target->key_hi.store(key.hi, std::memory_order_release);
   target->version.store(version, std::memory_order_release);
-  target->meta.store(static_cast<std::uint64_t>(*encoded), std::memory_order_release);
+  target->meta.store(expires_at << 8 | *encoded, std::memory_order_release);
   const std::size_t words = (*encoded + 7) / 8;
   for (std::size_t i = 0; i < words; ++i) {
     std::uint64_t w = 0;
@@ -331,15 +347,17 @@ bool SeqlockDecisionCache::insert(const RequestKey& key, std::uint64_t version,
   }
   target->seq.store(s0 + 2, std::memory_order_release);  // even: published
 
-  if (existing) {
+  if (target == existing) {
     ++ws.stats.updates;
+    return true;
+  }
+  ++ws.stats.inserts;
+  if (target == empty) {
+    ++ws.occupied;
+  } else if (target == expired) {
+    ++ws.stats.expirations;
   } else {
-    ++ws.stats.inserts;
-    if (empty) {
-      ++ws.occupied;
-    } else {
-      ++ws.stats.evictions;
-    }
+    ++ws.stats.evictions;
   }
   return true;
 }

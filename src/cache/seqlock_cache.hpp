@@ -1,17 +1,17 @@
-// Seqlock-slot decision cache — the shared L2 of the two-level decision
-// cache (ARCHITECTURE.md §"Decision cache").
+// Seqlock-slot decision cache: the one decision store (ARCHITECTURE.md
+// §"The decision cache"). The engine fronts it with per-worker L1s;
+// PEP-side callers (CachingEvaluator) probe it directly.
 //
-// The mutex-per-shard cache (sharded_cache.hpp) serialises readers of
-// *hot* keys: the whole point of a decision cache is that a few
-// fingerprints absorb most traffic, and those all hash to the same shard
-// mutex. Here the hit path takes no lock at all. Each slot is a seqlock:
+// A decision cache exists because a few fingerprints absorb most
+// traffic, so a lock on the hit path would serialise exactly the hot
+// keys. Here the hit path takes no lock at all. Each slot is a seqlock:
 //
 //   reader   s1 = seq.load(acquire)           // odd ⇒ writer active ⇒ retry
-//            key/len/payload loads (acquire)
+//            key/meta/payload loads (acquire)
 //            s2 = seq.load(relaxed)           // s1 != s2 ⇒ torn ⇒ retry
 //   writer   (under per-shard mutex, so writers never race each other)
 //            seq.store(s+1)                   // odd: readers back off
-//            key/len/payload stores (release)
+//            key/meta/payload stores (release)
 //            seq.store(s+2, release)          // even: publish
 //
 // Why this is TSan-clean *and* correct without std::atomic_thread_fence
@@ -29,17 +29,24 @@
 // Decisions are stored *inline* as a compact binary encoding packed into
 // the slot's atomic words — no pointers, so there is no reclamation race
 // between sequence validation and dereference. Decisions that encode to
-// more than kMaxEncodedDecisionBytes are simply not cached (the evaluator
+// more than kMaxEncodedBytes are simply not cached (the evaluator
 // recomputes them); the hot permit/deny + stamp-obligation shapes fit
 // with room to spare.
 //
-// Keys are (request fingerprint, snapshot version): republication
-// implicitly invalidates, and `evict_older_than` reclaims the slots of
-// withdrawn versions. Reader-side hit/miss/retry counters are
-// deliberately NOT kept here — shared atomics on the read path would
-// reintroduce the cache-line contention the seqlock removes. Readers
-// accumulate retries via the out-parameter; the engine counts hits in its
-// per-worker padded counters.
+// Staleness is bounded two ways (paper §3.2 warns that a stale entry is
+// a false permit or a false deny):
+//   * Keys are (request fingerprint, snapshot version): republication
+//     implicitly invalidates, and `evict_older_than` reclaims the slots
+//     of withdrawn versions. This is all the engine uses.
+//   * An optional TTL for callers with no version stream (the PEP side):
+//     each slot's meta word carries its expiry, and a lookup treats an
+//     expired slot as a miss. The clock is read once per lookup/insert,
+//     and only when a TTL is set.
+//
+// Reader-side hit/miss/retry counters are deliberately NOT kept here —
+// shared atomics on the read path would reintroduce the cache-line
+// contention the seqlock removes. Readers accumulate retries via the
+// out-parameter; callers count their own hits.
 #pragma once
 
 #include <cstddef>
@@ -50,6 +57,7 @@
 #include <optional>
 
 #include "cache/request_key.hpp"
+#include "common/clock.hpp"
 #include "core/decision.hpp"
 
 namespace mdac::cache {
@@ -71,7 +79,8 @@ bool decode_decision(const std::uint8_t* data, std::size_t len, core::Decision& 
 struct SeqlockCacheStats {
   std::uint64_t inserts = 0;            // new entries written
   std::uint64_t updates = 0;            // same (key, version) overwritten
-  std::uint64_t evictions = 0;          // bucket-full victim displaced
+  std::uint64_t evictions = 0;          // bucket-full live victim displaced
+  std::uint64_t expirations = 0;        // expired slot reused by an insert
   std::uint64_t version_evictions = 0;  // reclaimed by evict_older_than
   std::uint64_t invalidations = 0;      // cleared by clear()
   std::uint64_t rejected_oversize = 0;  // decision too large to inline
@@ -80,6 +89,7 @@ struct SeqlockCacheStats {
     inserts += o.inserts;
     updates += o.updates;
     evictions += o.evictions;
+    expirations += o.expirations;
     version_evictions += o.version_evictions;
     invalidations += o.invalidations;
     rejected_oversize += o.rejected_oversize;
@@ -99,12 +109,20 @@ class SeqlockDecisionCache {
   /// `capacity` is the total slot budget; rounded up so the bucket count
   /// is a power of two (minimum one bucket of kWays slots). Storage is
   /// allocated eagerly — a slot table, no per-entry allocation ever.
-  explicit SeqlockDecisionCache(std::size_t capacity = 4096);
+  /// `ttl` > 0 gives every insert an expiry `ttl` ms after `clock->now()`
+  /// (the clock is not owned and is then required; a clock shared with
+  /// concurrent callers must be thread-safe, see common/clock.hpp).
+  /// `ttl` == 0 means entries never expire and no clock is read.
+  /// Throws std::invalid_argument for a negative ttl, or a positive one
+  /// without a clock.
+  explicit SeqlockDecisionCache(std::size_t capacity = 4096, common::Duration ttl = 0,
+                                const common::Clock* clock = nullptr);
 
   SeqlockDecisionCache(const SeqlockDecisionCache&) = delete;
   SeqlockDecisionCache& operator=(const SeqlockDecisionCache&) = delete;
 
-  /// Lock-free lookup. On a hit decodes into `out` and returns true. If
+  /// Lock-free lookup. On a hit decodes into `out` and returns true; an
+  /// expired slot is a miss. If
   /// `retries` is non-null, the number of seqlock re-reads performed is
   /// *added* to it (callers keep per-worker tallies). A slot being
   /// rewritten more than kMaxReadAttempts times in a row is treated as a
@@ -112,9 +130,11 @@ class SeqlockDecisionCache {
   bool lookup(const RequestKey& key, std::uint64_t version, core::Decision& out,
               std::uint64_t* retries = nullptr) const;
 
-  /// Inserts (or refreshes) a decision. Takes the bucket's shard write
-  /// mutex; readers are never blocked. Returns false if the decision is
-  /// too large to inline (not cached).
+  /// Inserts (or refreshes, restarting its TTL) a decision. Takes the
+  /// bucket's shard write mutex; readers are never blocked. Slot choice:
+  /// the same (key, version), else an empty slot, else an expired one,
+  /// else a round-robin victim. Returns false if the decision is too
+  /// large to inline (not cached).
   bool insert(const RequestKey& key, std::uint64_t version, const core::Decision& d);
 
   /// Reclaims every slot whose snapshot version is < `version`; returns
@@ -127,24 +147,41 @@ class SeqlockDecisionCache {
 
   SeqlockCacheStats stats() const;
   std::size_t slot_count() const { return bucket_count() * kWays; }
-  std::size_t size() const;  // occupied slots (exact: summed under locks)
+  /// Occupied slots (exact: summed under locks). Expired entries count
+  /// until an insert reuses their slot.
+  std::size_t size() const;
+  common::Duration ttl() const { return ttl_; }
 
  private:
   static constexpr std::size_t kMaxReadAttempts = 64;
   static constexpr std::size_t kMaxWriteShards = 16;
 
   // All words atomic: no data race is possible, only *torn snapshots*,
-  // which the sequence protocol detects. meta == 0 marks an empty slot
-  // (no decision encodes to zero bytes); seq is never reset.
+  // which the sequence protocol detects. meta packs the expiry time
+  // (upper 56 bits, ms; 0 = never expires) over the encoded byte length
+  // (low 8 bits, at most kMaxEncodedBytes). meta == 0 marks an empty
+  // slot (no decision encodes to zero bytes); seq is never reset.
   struct alignas(64) Slot {
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::uint64_t> key_lo{0};
     std::atomic<std::uint64_t> key_hi{0};
     std::atomic<std::uint64_t> version{0};
-    std::atomic<std::uint64_t> meta{0};  // encoded byte length; 0 = empty
+    std::atomic<std::uint64_t> meta{0};  // expires_at << 8 | length; 0 = empty
     std::atomic<std::uint64_t> payload[kPayloadWords] = {};
   };
   static_assert(sizeof(std::atomic<std::uint64_t>) == 8);
+  static_assert(kMaxEncodedBytes <= 0xFF, "the length must fit meta's low byte");
+  static constexpr std::uint64_t kMaxExpiry = (std::uint64_t{1} << 56) - 1;
+
+  static std::size_t meta_length(std::uint64_t meta) { return meta & 0xFF; }
+  /// True when the slot's expiry has passed at `now` (never for 0).
+  static bool meta_expired(std::uint64_t meta, std::uint64_t now) {
+    const std::uint64_t expires_at = meta >> 8;
+    return expires_at != 0 && now >= expires_at;
+  }
+  /// The clock reading expiry is checked against; 0 (no clock read)
+  /// when the cache has no TTL, since then no slot carries an expiry.
+  std::uint64_t expiry_now() const;
 
   struct alignas(64) WriteShard {
     std::mutex mutex;
@@ -163,6 +200,8 @@ class SeqlockDecisionCache {
 
   std::size_t bucket_mask_;
   std::size_t shard_mask_;
+  common::Duration ttl_;
+  const common::Clock* clock_;
   std::unique_ptr<Slot[]> slots_;
   mutable std::unique_ptr<WriteShard[]> shards_;
 };

@@ -1,7 +1,7 @@
 // mdac::obs::Registry — the unified metrics registry (ISSUE 9).
 //
 // The repo grew five disconnected telemetry surfaces (EngineMetrics,
-// DispatchStats, BreakerStats, CacheStats, the PAP audit log); the
+// DispatchStats, BreakerStats, SeqlockCacheStats, the PAP audit log); the
 // paper's monitoring/audit argument (§3.2) needs them in ONE place an
 // operator can scrape. The registry holds named counter / gauge /
 // histogram instruments and renders them in Prometheus text exposition
@@ -20,7 +20,7 @@
 //     rendered to its final `{k="v",...}` string once, and the hot path
 //     never touches a string again.
 //   * collectors — subsystems that already keep their own counters
-//     (EngineMetrics, DispatchStats, BreakerStats, CacheStats,
+//     (EngineMetrics, DispatchStats, BreakerStats, SeqlockCacheStats,
 //     HeartbeatMonitor, the PAP audit ring) register a callback that
 //     reports current values into a MetricSink at expose time. Each
 //     subsystem exposes a `register_metrics(Registry&)` member doing

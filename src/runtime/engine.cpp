@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #ifdef __linux__
@@ -217,6 +218,11 @@ DecisionEngine::DecisionEngine(SnapshotPublisher& publisher, EngineConfig config
       cache_(cache),
       metrics_(std::max<std::size_t>(1, config.workers),
                std::max<std::size_t>(1, config.queue_capacity)) {
+  if (cache_ != nullptr && cache_->ttl() > 0) {
+    throw std::invalid_argument(
+        "DecisionEngine: the shared cache must not have a ttl (entries are "
+        "version-scoped, and a worker's L1 cannot honour an expiry)");
+  }
   config_.workers = std::max<std::size_t>(1, config_.workers);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
   config_.max_batch = std::max<std::size_t>(1, config_.max_batch);
@@ -494,16 +500,15 @@ void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
   metrics_.record_batch(index, worker.jobs.size());
   adopt_snapshot(index, worker);
   const std::uint64_t version = worker.snapshot ? worker.snapshot->version() : 0;
-  // Cache keys are (request fingerprint, snapshot version) in both
-  // modes: a republication makes every old entry unreachable (and the
+  // Cache keys are (request fingerprint, snapshot version): a
+  // republication makes every old entry unreachable (and the
   // adoption-time sweep reclaims it) instead of serving decisions from
   // withdrawn policy — the "every decision is consistent with exactly
   // one snapshot" model extends to cache hits, with no invalidation
   // stampede on publish. The worker's private L1 is probed first (zero
   // synchronisation), then the shared store; an L2 hit is promoted into
   // the L1.
-  const bool use_l1 = cache_ != nullptr && worker.l1_enabled &&
-                      cache_->mode() == cache::DecisionCache::Mode::kTwoLevel;
+  const bool use_l1 = cache_ != nullptr && worker.l1_enabled;
 
   worker.requests.clear();
   worker.pending.clear();
@@ -531,7 +536,7 @@ void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
       }
       if (!hit) {
         level = 2;
-        hit = cache_->lookup(key, version, worker.group, &retries);
+        hit = cache_->lookup(key, version, &retries);
         if (hit && use_l1) worker.l1.insert(key, version, *hit);
       }
       // Span a = level served (0 = miss), b = seqlock retries.
@@ -610,7 +615,7 @@ void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
       // pending_keys[i] was filled alongside pending[i] (cache_ non-null
       // implies the lookup path ran): the fingerprint is computed once
       // per request, shared by the probe and both fills.
-      cache_->insert(worker.pending_keys[i], version, r.decision, worker.group);
+      cache_->insert(worker.pending_keys[i], version, r.decision);
       if (use_l1) worker.l1.insert(worker.pending_keys[i], version, r.decision);
     }
     complete(evaluated, std::move(r), worker_id);
@@ -650,13 +655,6 @@ void DecisionEngine::worker_loop(std::size_t index) {
   }
   Worker worker(config_.l1_capacity);
   worker.jobs.reserve(config_.max_batch);
-  // Workers map onto the shared cache's placement groups in contiguous
-  // blocks (workers 0..k-1 → group 0, …): each group's slot table is
-  // only ever touched by its own workers, and duplication of hot
-  // decisions across groups is the intended trade for locality.
-  if (cache_ != nullptr && cache_->group_count() > 1) {
-    worker.group = index * cache_->group_count() / config_.workers;
-  }
   while (pop_batch(worker)) {
     process_batch(index, worker);
     worker.jobs.clear();

