@@ -11,6 +11,8 @@
 //     acceptance criterion, so it is measured, not asserted
 //   * lock acquisitions (locks/op) via a pthread_mutex_lock hook — the
 //     cached hit paths are gated at exactly zero
+//   * exact allocations per op on the evaluate, cached-hit, wire-decode
+//     and request-copy rows (check_exact_allocs)
 //
 // Usage: bench_pdp [--smoke] [--out BENCH_pdp.json]
 //   --smoke shrinks every workload so the whole run fits in <2s; the
@@ -28,6 +30,7 @@
 #include <list>
 #include <memory>
 #include <new>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -389,14 +392,25 @@ BenchResult bench_cached_hit(const Scale& s) {
     ++evaluations;
     return pdp.evaluate(req);
   });
-  const auto pool = make_request_pool(s, 512);
+  std::vector<core::RequestContext> pool = make_request_pool(s, 512);
   for (const auto& req : pool) cached(req);  // fill: the measured ops are hits
+  // The fingerprint seed is per process, so now and then a 4-way bucket
+  // draws a fifth key and one cacheable request loses its slot. Probing
+  // it would miss, re-insert under the shard lock and evict a neighbour
+  // on every pass, so the row would measure misses. Measure the resident
+  // keys only, and report how many were dropped.
+  const std::size_t filled = pool.size();
+  std::erase_if(pool, [&](const core::RequestContext& req) {
+    const core::Decision d = pdp.evaluate(req);
+    return (d.is_permit() || d.is_deny()) && !cache.lookup(req);
+  });
   evaluations = 0;
   auto r = run_bench("cached_decision_hit", s.cache_iterations, 256, [&](std::uint64_t i) {
     ++calls;
     benchmark_sink(cached(pool[i % pool.size()]));
   });
   r.counters["hit_ratio"] = 1.0 - static_cast<double>(evaluations) / static_cast<double>(calls);
+  r.counters["evicted_at_fill"] = static_cast<double>(filled - pool.size());
   return r;
 }
 
@@ -463,6 +477,51 @@ BenchResult bench_wire_request_decode(const Scale& s) {
   });
   r.counters["doc_bytes"] = static_cast<double>(docs[0].size());
   r.counters["sink"] = static_cast<double>(sink % 7);
+  return r;
+}
+
+/// A hot_agent-shaped pool request (make + 2 adds) copied on this thread
+/// and destroyed on another: the engine's shape, where the submitting
+/// thread copies a request into the job and a worker frees it. Its
+/// allocs/op is the copy's heap blocks; the frees land on the consumer,
+/// so the timing includes cross-core frees.
+BenchResult bench_request_copy_cross_thread(const Scale& s) {
+  common::Rng rng(16);
+  std::vector<core::RequestContext> pool;
+  for (int i = 0; i < 512; ++i) {
+    pool.push_back(random_domain_request(rng, 8, s.policies, s.roles));
+  }
+  struct Slot {
+    std::optional<core::RequestContext> request;
+    std::atomic<bool> full{false};
+  };
+  constexpr std::size_t kRing = 256;
+  const auto ring = std::make_unique<Slot[]>(kRing);
+  // Declared after the ring, so its destructor (stop, then join) runs
+  // before the ring's.
+  std::jthread consumer([&](std::stop_token stop) {
+    for (std::size_t next = 0;;) {
+      Slot& slot = ring[next % kRing];
+      const bool stopping = stop.stop_requested();
+      if (slot.full.load(std::memory_order_acquire)) {
+        slot.request.reset();
+        slot.full.store(false, std::memory_order_release);
+        ++next;
+      } else if (stopping) {
+        break;
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  });
+  std::size_t produced = 0;
+  auto r = run_bench("request_copy_cross_thread", s.iterations, 256, [&](std::uint64_t i) {
+    Slot& slot = ring[produced++ % kRing];
+    while (slot.full.load(std::memory_order_acquire)) std::this_thread::yield();
+    slot.request.emplace(pool[i % pool.size()]);
+    slot.full.store(true, std::memory_order_release);
+  });
+  r.counters["attributes"] = static_cast<double>(pool[0].size());
   return r;
 }
 
@@ -1197,31 +1256,57 @@ int check_traced_overhead_floor(const Scale& scale, const Report& report) {
   return 0;
 }
 
-/// Lock acquisitions per cached hit must be exactly zero: the decision
-/// cache's read path (PEP-side, multi-threaded, and behind the engine's
-/// L1) is lock-free by design, and a lock count does not depend on core
-/// count or machine load, so this gate holds on any host. Skips in
-/// sanitized builds, which do not count locks.
-int check_lock_free_hits(const Report& report) {
-  static constexpr const char* kLockFreeRows[] = {
-      "cached_decision_hit", "cached_decision_hit_mt", "pdp_mt_cached_workers_1"};
-  if (!kCountsLocks) {
-    std::printf("lock gate: sanitized build counts no locks; skipping\n");
-    return 0;
-  }
+/// One row held to an exact count per op.
+struct ExactCount {
+  const char* row;
+  double per_op;
+};
+
+/// Fails the run unless every listed row reads exactly its count of
+/// `unit` (`field`) per op. Lock and allocation counts do not depend on
+/// core count or machine load, so these gates hold on any host.
+int check_exact_counts(const Report& report, const char* gate, const char* unit,
+                       double BenchResult::*field, std::span<const ExactCount> rows) {
   int failures = 0;
-  for (const char* name : kLockFreeRows) {
+  for (const ExactCount& expected : rows) {
     for (const BenchResult& r : report.results()) {
-      if (r.name != name) continue;
-      std::printf("lock gate: %s %.6g locks/op (must be 0)\n", name, r.locks_per_op);
-      if (r.locks_per_op != 0) {
-        std::fprintf(stderr, "FAIL: %s takes %.6g locks per op (must be 0)\n", name,
-                     r.locks_per_op);
+      if (r.name != expected.row) continue;
+      std::printf("%s gate: %s %.6g %s/op (must be %g)\n", gate, expected.row, r.*field,
+                  unit, expected.per_op);
+      if (r.*field != expected.per_op) {
+        std::fprintf(stderr, "FAIL: %s takes %.6g %s per op (must be %g)\n", expected.row,
+                     r.*field, unit, expected.per_op);
         ++failures;
       }
     }
   }
   return failures > 0 ? 1 : 0;
+}
+
+/// The decision cache's read path (PEP-side, multi-threaded, and behind
+/// the engine's L1) is lock-free by design: no lock per cached hit.
+/// Skips in sanitized builds, which do not count locks.
+int check_lock_free_hits(const Report& report) {
+  static constexpr ExactCount kLockFree[] = {{"cached_decision_hit", 0},
+                                             {"cached_decision_hit_mt", 0},
+                                             {"pdp_mt_cached_workers_1", 0}};
+  if (!kCountsLocks) {
+    std::printf("lock gate: sanitized build counts no locks; skipping\n");
+    return 0;
+  }
+  return check_exact_counts(report, "lock", "locks", &BenchResult::locks_per_op, kLockFree);
+}
+
+/// Exact allocations per op; the operator-new hook counts in every build,
+/// sanitized ones included. 4 for a cold_wire decode is its
+/// RequestContext's entries array growing 1 -> 2 -> 4 -> 8 (every bag
+/// holds its one value inline); 1 for a request copy is its entries array.
+int check_exact_allocs(const Report& report) {
+  static constexpr ExactCount kExact[] = {{"pdp_evaluate_indexed", 0},
+                                          {"cached_decision_hit", 0},
+                                          {"wire_request_decode", 4},
+                                          {"request_copy_cross_thread", 1}};
+  return check_exact_counts(report, "alloc", "allocs", &BenchResult::allocs_per_op, kExact);
 }
 
 }  // namespace
@@ -1267,7 +1352,7 @@ int run(int argc, char** argv) {
                       &bench_cached_hit, &bench_cached_hit_legacy,
                       &bench_cached_churn, &bench_request_key_fingerprint,
                       &bench_request_key_legacy, &bench_wire_request_decode,
-                      &bench_wire_decision_encode}) {
+                      &bench_wire_decision_encode, &bench_request_copy_cross_thread}) {
     BenchResult r = (*bench)(scale);
     print_row(r);
     report.add(std::move(r));
@@ -1329,6 +1414,7 @@ int run(int argc, char** argv) {
   }
   failures |= check_traced_overhead_floor(scale, report);
   failures |= check_lock_free_hits(report);
+  failures |= check_exact_allocs(report);
   if (!baseline.empty()) {
     failures |= check_regression(scale, report, baseline, max_regress);
   }

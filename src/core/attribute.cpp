@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 namespace mdac::core {
 
@@ -89,17 +90,54 @@ std::optional<AttributeValue> AttributeValue::from_text(DataType type,
   return std::nullopt;
 }
 
+Bag::Bag(std::vector<AttributeValue> vs) : size_(vs.size()) {
+  if (size_ == 1) {
+    first_ = std::move(vs.front());
+  } else if (size_ > 1) {
+    spill_ = std::move(vs);
+  }
+}
+
+Bag Bag::of(std::initializer_list<AttributeValue> vs) {
+  if (vs.size() == 1) return Bag(*vs.begin());
+  return Bag(std::vector<AttributeValue>(vs));
+}
+
+void Bag::add(AttributeValue v) {
+  if (size_ == 0) {
+    first_ = std::move(v);
+  } else {
+    if (size_ == 1) {
+      spill_.reserve(2);
+      spill_.push_back(std::move(first_));
+    }
+    spill_.push_back(std::move(v));
+  }
+  ++size_;
+}
+
+const AttributeValue& Bag::at(std::size_t i) const {
+  if (i >= size_) throw std::out_of_range("Bag::at: index out of range");
+  return values()[i];
+}
+
 bool Bag::contains(const AttributeValue& v) const {
-  return std::find(values_.begin(), values_.end(), v) != values_.end();
+  const std::span<const AttributeValue> vs = values();
+  return std::ranges::find(vs, v) != vs.end();
 }
 
 bool Bag::set_equals(const Bag& other) const {
-  if (values_.size() != other.values_.size()) return false;
-  std::vector<AttributeValue> a = values_;
-  std::vector<AttributeValue> b = other.values_;
+  if (size_ != other.size_) return false;
+  if (size_ <= 1) return *this == other;
+  std::vector<AttributeValue> a = spill_;
+  std::vector<AttributeValue> b = other.spill_;
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   return a == b;
+}
+
+bool Bag::operator==(const Bag& other) const {
+  return std::ranges::equal(values(), other.values());
 }
 
 const char* to_string(Category c) {

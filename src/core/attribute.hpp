@@ -11,9 +11,12 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -79,34 +82,59 @@ class AttributeValue {
 
 /// An unordered multiset of attribute values. XACML expressions operate on
 /// bags; a designator lookup always yields a bag (possibly empty).
+///
+/// Storage: the first value lives inline, so a single-valued bag (every
+/// attribute of a typical request, every designator and function result)
+/// owns no heap block. A second value moves all values into a spill
+/// vector. values() spans whichever storage is live; while the bag holds
+/// one value the span points into the Bag itself, so it does not survive
+/// a move of the bag (or of the vector that holds it).
 class Bag {
  public:
   Bag() = default;
-  explicit Bag(AttributeValue v) { values_.push_back(std::move(v)); }
-  explicit Bag(std::vector<AttributeValue> vs) : values_(std::move(vs)) {}
+  explicit Bag(AttributeValue v) : size_(1), first_(std::move(v)) {}
+  explicit Bag(std::vector<AttributeValue> vs);
 
-  static Bag of(std::initializer_list<AttributeValue> vs) {
-    return Bag(std::vector<AttributeValue>(vs));
+  Bag(const Bag&) = default;
+  Bag& operator=(const Bag&) = default;
+  /// A moved-from bag is empty.
+  Bag(Bag&& other) noexcept
+      : size_(std::exchange(other.size_, 0)),
+        first_(std::move(other.first_)),
+        spill_(std::move(other.spill_)) {}
+  Bag& operator=(Bag&& other) noexcept {
+    size_ = std::exchange(other.size_, 0);
+    first_ = std::move(other.first_);
+    spill_ = std::move(other.spill_);
+    return *this;
   }
 
-  bool empty() const { return values_.empty(); }
-  std::size_t size() const { return values_.size(); }
-  void add(AttributeValue v) { values_.push_back(std::move(v)); }
+  static Bag of(std::initializer_list<AttributeValue> vs);
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  void add(AttributeValue v);
   bool contains(const AttributeValue& v) const;
 
-  const std::vector<AttributeValue>& values() const { return values_; }
-  const AttributeValue& at(std::size_t i) const { return values_.at(i); }
+  std::span<const AttributeValue> values() const {
+    if (size_ <= 1) return {&first_, size_};
+    return spill_;
+  }
+  const AttributeValue& at(std::size_t i) const;
 
   /// True if this bag has exactly one element.
-  bool singleton() const { return values_.size() == 1; }
+  bool singleton() const { return size_ == 1; }
 
   /// Multiset equality (order-insensitive).
   bool set_equals(const Bag& other) const;
 
-  bool operator==(const Bag&) const = default;
+  /// Element-wise, in order (as a vector compares), whatever the storage.
+  bool operator==(const Bag& other) const;
 
  private:
-  std::vector<AttributeValue> values_;
+  std::size_t size_ = 0;
+  AttributeValue first_;               // live while size_ == 1
+  std::vector<AttributeValue> spill_;  // live while size_ >= 2
 };
 
 /// XACML attribute categories. kDelegate supports the administration /

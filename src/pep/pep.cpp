@@ -74,7 +74,7 @@ Enforcement EnforcementPoint::enforce(const core::RequestContext& request) {
         // enforced as permit.
         ++denials_by_obligation_;
         result.allowed = false;
-        result.reason = failure;
+        result.reason = std::move(failure);
       } else {
         result.allowed = true;
       }
@@ -87,7 +87,7 @@ Enforcement EnforcementPoint::enforce(const core::RequestContext& request) {
       fulfil(result.decision.obligations, &result.obligations_fulfilled, &ignored,
              trace);
       result.allowed = false;
-      result.reason = "denied by policy";
+      result.reason = Reason::fixed("denied by policy");
       break;
     }
     case core::DecisionType::kNotApplicable:
@@ -95,8 +95,9 @@ Enforcement EnforcementPoint::enforce(const core::RequestContext& request) {
       result.allowed = config_.bias == Bias::kPermit;
       if (!result.allowed) {
         ++denials_by_bias_;
-        result.reason = std::string("fail-safe deny (") +
-                        core::to_string(result.decision.type) + ")";
+        result.reason = Reason::fixed(result.decision.is_indeterminate()
+                                          ? "fail-safe deny (indeterminate)"
+                                          : "fail-safe deny (not-applicable)");
       }
       break;
     }

@@ -10,7 +10,9 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/decision_cache.hpp"
@@ -30,12 +32,46 @@ struct PepConfig {
   Bias bias = Bias::kDeny;
 };
 
+/// Why an enforcement denied. The fixed texts (policy deny, fail-safe
+/// deny) are string literals held by pointer, so an obligation-free
+/// enforcement allocates nothing; composed texts (obligation failures, a
+/// caller's own reason) are owned.
+class Reason {
+ public:
+  Reason() = default;
+  /// `literal` must have static storage duration.
+  static Reason fixed(const char* literal) {
+    Reason r;
+    r.literal_ = literal;
+    return r;
+  }
+  Reason& operator=(std::string text) {
+    literal_ = nullptr;
+    owned_ = std::move(text);
+    return *this;
+  }
+
+  std::string_view view() const {
+    return literal_ != nullptr ? std::string_view(literal_) : std::string_view(owned_);
+  }
+  const char* c_str() const { return literal_ != nullptr ? literal_ : owned_.c_str(); }
+  std::size_t find(std::string_view text) const { return view().find(text); }
+  bool operator==(std::string_view text) const { return view() == text; }
+  friend std::ostream& operator<<(std::ostream& os, const Reason& r) {
+    return os << r.view();
+  }
+
+ private:
+  const char* literal_ = nullptr;
+  std::string owned_;
+};
+
 /// Result of one enforcement: the gate outcome plus its provenance.
 struct Enforcement {
   bool allowed = false;
   core::Decision decision;
   std::vector<std::string> obligations_fulfilled;
-  std::string reason;  // set when allowed == false
+  Reason reason;  // set when allowed == false
   /// Trace id assigned at PEP admission when a tracer is configured
   /// (0 otherwise) — correlate with the tracer's explain ring.
   std::uint64_t trace_id = 0;

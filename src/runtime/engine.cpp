@@ -704,6 +704,11 @@ std::uint64_t DecisionEngine::register_metrics(obs::Registry& registry) const {
                    static_cast<double>(s.worker_ops[i]),
                    {{"worker", std::to_string(i)}});
     }
+    // Bucket i means the same range on both sides; a wider obs::Histogram
+    // (say, log-linear) must not read past the engine's array.
+    static_assert(std::tuple_size_v<decltype(EngineMetrics::Snapshot::latency_buckets)> ==
+                      obs::Histogram::kBuckets,
+                  "engine latency buckets must map one-to-one onto obs::Histogram");
     obs::Histogram::Snapshot latency;
     for (std::size_t i = 0; i < obs::Histogram::kBuckets; ++i) {
       latency.counts[i] = s.latency_buckets[i];

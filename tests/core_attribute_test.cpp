@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "core/attribute.hpp"
 #include "core/request.hpp"
 
@@ -101,6 +105,121 @@ TEST(BagTest, SetEqualsIsMultisetSensitive) {
   const Bag a = Bag::of({AttributeValue("x"), AttributeValue("x")});
   const Bag b = Bag::of({AttributeValue("x")});
   EXPECT_FALSE(a.set_equals(b));
+}
+
+// The storage transitions: empty, one inline value, then all values in
+// the spill vector. Every observable below must be independent of which
+// storage a bag is in.
+
+std::vector<AttributeValue> as_vector(const Bag& bag) {
+  return {bag.values().begin(), bag.values().end()};
+}
+
+const AttributeValue kA("a");
+const AttributeValue kB("b");
+const AttributeValue kC("c");
+
+TEST(BagTest, AddWalksSizesZeroToThreeInOrder) {
+  Bag bag;
+  EXPECT_TRUE(bag.empty());
+  EXPECT_EQ(bag.size(), 0u);
+  EXPECT_TRUE(bag.values().empty());
+
+  bag.add(kA);
+  EXPECT_FALSE(bag.empty());
+  EXPECT_TRUE(bag.singleton());
+  EXPECT_EQ(as_vector(bag), (std::vector<AttributeValue>{kA}));
+  EXPECT_EQ(bag.at(0), kA);
+
+  bag.add(kB);
+  EXPECT_EQ(bag.size(), 2u);
+  EXPECT_FALSE(bag.singleton());
+  EXPECT_EQ(as_vector(bag), (std::vector<AttributeValue>{kA, kB}));
+
+  bag.add(kC);
+  EXPECT_EQ(bag.size(), 3u);
+  EXPECT_EQ(as_vector(bag), (std::vector<AttributeValue>{kA, kB, kC}));
+  EXPECT_EQ(bag.at(0), kA);
+  EXPECT_EQ(bag.at(2), kC);
+}
+
+TEST(BagTest, EqualityIsIndependentOfConstructionPath) {
+  const std::vector<std::vector<AttributeValue>> contents = {{}, {kA}, {kA, kB, kC}};
+  for (const std::vector<AttributeValue>& values : contents) {
+    Bag added;
+    for (const AttributeValue& v : values) added.add(v);
+    const Bag from_vector(values);
+    EXPECT_EQ(added, from_vector) << values.size();
+    EXPECT_EQ(as_vector(added), values);
+    EXPECT_EQ(as_vector(from_vector), values);
+  }
+  EXPECT_EQ(Bag(), Bag::of({}));
+  EXPECT_EQ(Bag(kA), Bag::of({kA}));
+  EXPECT_EQ(Bag(kA), Bag(std::vector<AttributeValue>{kA}));
+  EXPECT_EQ(Bag::of({kA, kB, kC}), Bag(std::vector<AttributeValue>{kA, kB, kC}));
+
+  // Inequality: value, type, size, order.
+  EXPECT_NE(Bag(kA), Bag(kB));
+  EXPECT_NE(Bag(AttributeValue(1)), Bag(AttributeValue("1")));
+  EXPECT_NE(Bag(kA), Bag::of({kA, kA}));
+  EXPECT_NE(Bag(), Bag(AttributeValue("")));
+  EXPECT_NE(Bag::of({kA, kB}), Bag::of({kB, kA}));
+}
+
+TEST(BagTest, CopyAndMoveKeepValuesInBothStorages) {
+  for (const Bag& original : {Bag(kA), Bag::of({kA, kB, kC})}) {
+    Bag copy = original;
+    EXPECT_EQ(copy, original);
+
+    Bag moved = std::move(copy);
+    EXPECT_EQ(moved, original);
+    // The moved-from bag is empty, and stays usable and assignable.
+    EXPECT_TRUE(copy.empty());
+    EXPECT_TRUE(copy.values().empty());
+    copy.add(kB);
+    EXPECT_EQ(copy, Bag(kB));
+    copy = original;
+    EXPECT_EQ(copy, original);
+
+    Bag assigned(kC);
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned, original);
+    EXPECT_TRUE(moved.empty());
+    moved = Bag::of({kB, kC});
+    EXPECT_EQ(as_vector(moved), (std::vector<AttributeValue>{kB, kC}));
+
+    // Assigning across storages: inline over spilled and back.
+    Bag other = Bag::of({kC, kB, kA});
+    other = original;
+    EXPECT_EQ(other, original);
+    other = Bag(kC);
+    EXPECT_EQ(as_vector(other), (std::vector<AttributeValue>{kC}));
+    other.add(kA);
+    EXPECT_EQ(as_vector(other), (std::vector<AttributeValue>{kC, kA}));
+  }
+}
+
+TEST(BagTest, AtOutOfRangeThrows) {
+  EXPECT_THROW((void)Bag().at(0), std::out_of_range);
+  EXPECT_THROW((void)Bag(kA).at(1), std::out_of_range);
+  EXPECT_THROW((void)Bag::of({kA, kB, kC}).at(3), std::out_of_range);
+}
+
+TEST(BagTest, ContainsAndSetEqualsOnMultisets) {
+  EXPECT_FALSE(Bag().contains(kA));
+  EXPECT_TRUE(Bag(kA).contains(kA));
+  EXPECT_FALSE(Bag(kA).contains(kB));
+  EXPECT_TRUE(Bag::of({kA, kB, kC}).contains(kC));
+  EXPECT_FALSE(Bag::of({kA, kB}).contains(kC));
+  EXPECT_FALSE(Bag(AttributeValue(1)).contains(AttributeValue("1")));
+
+  EXPECT_TRUE(Bag().set_equals(Bag()));
+  EXPECT_TRUE(Bag(kA).set_equals(Bag(std::vector<AttributeValue>{kA})));
+  EXPECT_FALSE(Bag(kA).set_equals(Bag(kB)));
+  EXPECT_FALSE(Bag().set_equals(Bag(kA)));
+  EXPECT_TRUE(Bag::of({kA, kB, kA}).set_equals(Bag::of({kA, kA, kB})));
+  // Same size and same distinct values, different multiplicities.
+  EXPECT_FALSE(Bag::of({kA, kA, kB}).set_equals(Bag::of({kA, kB, kB})));
 }
 
 // ---------------------------------------------------------------------

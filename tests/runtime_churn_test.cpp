@@ -190,6 +190,14 @@ TEST(RuntimeChurnTest, RepositoryLifecycleChurnsThroughPublisher) {
   config.queue_capacity = 2048;
   DecisionEngine engine(snapshots, config);
 
+  // One decision from the pre-churn snapshot lands before the PAP thread
+  // starts, so `permits > 0` below does not hinge on the workers winning
+  // a race against every republication and the withdrawal (on a loaded host
+  // they can lose it, and then every decision is the withdrawn store's).
+  std::vector<std::future<EngineResult>> inflight;
+  inflight.push_back(engine.submit(probe_request()));
+  inflight.back().wait();
+
   // PAP thread: update (submit+issue) the policy through the repository
   // lifecycle; each successful issue republishes. Finally withdraw it.
   std::thread pap([&] {
@@ -209,8 +217,7 @@ TEST(RuntimeChurnTest, RepositoryLifecycleChurnsThroughPublisher) {
   // Submissions race the churn; every decision must be a well-formed
   // single-version permit, or — once the withdrawal lands — the empty
   // store's NotApplicable (which a PEP denies fail-safe).
-  std::vector<std::future<EngineResult>> inflight;
-  for (int i = 0; i < 600; ++i) inflight.push_back(engine.submit(probe_request()));
+  for (int i = 1; i < 600; ++i) inflight.push_back(engine.submit(probe_request()));
   pap.join();
   auto last = engine.submit(probe_request());
   std::size_t permits = 0;
@@ -276,6 +283,14 @@ TEST(RuntimeChurnTest, ReferencedPolicyChurnThroughCompiledSets) {
   config.queue_capacity = 2048;
   DecisionEngine engine(snapshots, config);
 
+  // One decision from the pre-churn snapshot lands before the PAP thread
+  // starts, so `permits > 0` below does not hinge on the workers winning
+  // a race against every republication and the withdrawal (on a loaded host
+  // they can lose it, and then every decision is the withdrawn store's).
+  std::vector<std::future<EngineResult>> inflight;
+  inflight.push_back(engine.submit(probe_request()));
+  inflight.back().wait();
+
   std::thread pap([&] {
     for (int k = 2; k <= kVersions; ++k) {
       auto store = make_stamped_store(k);
@@ -288,8 +303,7 @@ TEST(RuntimeChurnTest, ReferencedPolicyChurnThroughCompiledSets) {
     EXPECT_TRUE(pap_edge.withdraw("probe-policy", "admin"));
   });
 
-  std::vector<std::future<EngineResult>> inflight;
-  for (int i = 0; i < 600; ++i) inflight.push_back(engine.submit(probe_request()));
+  for (int i = 1; i < 600; ++i) inflight.push_back(engine.submit(probe_request()));
   pap.join();
   auto last = engine.submit(probe_request());
 

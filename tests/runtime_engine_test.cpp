@@ -617,6 +617,21 @@ TEST(DecisionEngineTest, UntracedSubmitMakesZeroAllocations) {
   EXPECT_EQ(m.decided, kWarmup + kMeasured);
 }
 
+TEST(DecisionEngineTest, HotAgentShapedRequestCopiesInOneAllocation) {
+  // A request crosses the engine by copy (or move) on the submitting
+  // thread and is freed on a worker. Five single-valued attributes
+  // (make + 2 adds) with short values: the copy's only heap block is the
+  // entries array, since every bag holds its one value inline.
+  for (const core::RequestContext& request : federation_pool(8, 64, 4, 64)) {
+    ASSERT_EQ(request.size(), 5u);
+    const std::uint64_t before = t_allocs;
+    const core::RequestContext copy = request;
+    const std::uint64_t allocations = t_allocs - before;
+    EXPECT_EQ(allocations, 1u);
+    EXPECT_EQ(copy, request);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Worker placement (pin_workers)
 // ---------------------------------------------------------------------

@@ -571,6 +571,22 @@ TEST(WireCodecTest, DecisionEncodeReturnsExactSizeString) {
   EXPECT_LT(encoded.capacity(), 2 * encoded.size());
 }
 
+TEST(WireCodecTest, ColdWireRequestDecodesInFourAllocations) {
+  // Six single-valued attributes: the context's entries array grows
+  // 1 -> 2 -> 4 -> 8, and every bag holds its one value inline (no value
+  // outgrows the small-string buffer).
+  intern_vocabulary();
+  common::Rng rng(10);
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    const std::string doc = request_to_string(bench::cold_wire_request(rng, 5'000'000 + i));
+    const std::uint64_t before = t_allocs;
+    const RequestContext decoded = request_from_string(doc);
+    const std::uint64_t allocations = t_allocs - before;
+    ASSERT_EQ(decoded.size(), 6u);
+    ASSERT_EQ(allocations, 4u) << doc;
+  }
+}
+
 TEST(WireCodecTest, RequestDecodeAllocatesOnlyWhatTheContextHolds) {
   // Decoding allocates exactly what building the same RequestContext
   // with add(), in document order, allocates: the lexer, the element
