@@ -525,6 +525,31 @@ BenchResult bench_request_copy_cross_thread(const Scale& s) {
   return r;
 }
 
+/// The multi-valued case: the same requests with three roles per
+/// subject, copied and freed on one thread. The role bag keeps its
+/// values in a vector, so a copy is two heap blocks (entries array and
+/// role vector) where a single-valued request is one.
+BenchResult bench_request_copy_multi_role(const Scale& s) {
+  common::Rng rng(17);
+  std::vector<core::RequestContext> pool;
+  for (int i = 0; i < 512; ++i) {
+    core::RequestContext req = random_domain_request(rng, 8, s.policies, s.roles);
+    for (int extra = 0; extra < 2; ++extra) {
+      req.add(core::Category::kSubject, core::attrs::kRole,
+              core::AttributeValue("role-" + std::to_string(rng.uniform_int(0, s.roles - 1))));
+    }
+    pool.push_back(std::move(req));
+  }
+  std::size_t sink = 0;
+  auto r = run_bench("request_copy_multi_role", s.iterations, 256, [&](std::uint64_t i) {
+    const core::RequestContext copy = pool[i % pool.size()];
+    sink += copy.size();
+  });
+  r.counters["roles_per_subject"] = 3;
+  r.counters["sink"] = static_cast<double>(sink % 7);
+  return r;
+}
+
 BenchResult bench_wire_decision_encode(const Scale& s) {
   common::Rng rng(15);
   std::vector<core::Decision> decisions;
@@ -1300,12 +1325,14 @@ int check_lock_free_hits(const Report& report) {
 /// Exact allocations per op; the operator-new hook counts in every build,
 /// sanitized ones included. 4 for a cold_wire decode is its
 /// RequestContext's entries array growing 1 -> 2 -> 4 -> 8 (every bag
-/// holds its one value inline); 1 for a request copy is its entries array.
+/// holds its one value inline); 1 for a request copy is its entries array,
+/// and 2 once the subject's role bag holds three values (plus its vector).
 int check_exact_allocs(const Report& report) {
   static constexpr ExactCount kExact[] = {{"pdp_evaluate_indexed", 0},
                                           {"cached_decision_hit", 0},
                                           {"wire_request_decode", 4},
-                                          {"request_copy_cross_thread", 1}};
+                                          {"request_copy_cross_thread", 1},
+                                          {"request_copy_multi_role", 2}};
   return check_exact_counts(report, "alloc", "allocs", &BenchResult::allocs_per_op, kExact);
 }
 
@@ -1352,7 +1379,8 @@ int run(int argc, char** argv) {
                       &bench_cached_hit, &bench_cached_hit_legacy,
                       &bench_cached_churn, &bench_request_key_fingerprint,
                       &bench_request_key_legacy, &bench_wire_request_decode,
-                      &bench_wire_decision_encode, &bench_request_copy_cross_thread}) {
+                      &bench_wire_decision_encode, &bench_request_copy_cross_thread,
+                      &bench_request_copy_multi_role}) {
     BenchResult r = (*bench)(scale);
     print_row(r);
     report.add(std::move(r));

@@ -92,10 +92,15 @@ std::optional<AttributeValue> AttributeValue::from_text(DataType type,
 
 Bag::Bag(std::vector<AttributeValue> vs) : size_(vs.size()) {
   if (size_ == 1) {
-    first_ = std::move(vs.front());
+    new (&one_) AttributeValue(std::move(vs.front()));
   } else if (size_ > 1) {
-    spill_ = std::move(vs);
+    new (&many_) Many(std::move(vs));
   }
+}
+
+Bag& Bag::operator=(const Bag& other) {
+  if (this != &other) *this = Bag(other);
+  return *this;
 }
 
 Bag Bag::of(std::initializer_list<AttributeValue> vs) {
@@ -105,13 +110,16 @@ Bag Bag::of(std::initializer_list<AttributeValue> vs) {
 
 void Bag::add(AttributeValue v) {
   if (size_ == 0) {
-    first_ = std::move(v);
+    new (&one_) AttributeValue(std::move(v));
+  } else if (size_ == 1) {
+    Many spilled;
+    spilled.reserve(2);
+    spilled.push_back(std::move(one_));
+    spilled.push_back(std::move(v));
+    one_.~AttributeValue();
+    new (&many_) Many(std::move(spilled));
   } else {
-    if (size_ == 1) {
-      spill_.reserve(2);
-      spill_.push_back(std::move(first_));
-    }
-    spill_.push_back(std::move(v));
+    many_.push_back(std::move(v));
   }
   ++size_;
 }
@@ -129,8 +137,8 @@ bool Bag::contains(const AttributeValue& v) const {
 bool Bag::set_equals(const Bag& other) const {
   if (size_ != other.size_) return false;
   if (size_ <= 1) return *this == other;
-  std::vector<AttributeValue> a = spill_;
-  std::vector<AttributeValue> b = other.spill_;
+  Many a = many_;
+  Many b = other.many_;
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   return a == b;

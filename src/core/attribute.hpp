@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -83,31 +84,37 @@ class AttributeValue {
 /// An unordered multiset of attribute values. XACML expressions operate on
 /// bags; a designator lookup always yields a bag (possibly empty).
 ///
-/// Storage: the first value lives inline, so a single-valued bag (every
-/// attribute of a typical request, every designator and function result)
-/// owns no heap block. A second value moves all values into a spill
-/// vector. values() spans whichever storage is live; while the bag holds
-/// one value the span points into the Bag itself, so it does not survive
-/// a move of the bag (or of the vector that holds it).
+/// Storage: one slot, chosen by size(), that holds nothing, a single value
+/// inline, or a vector of two or more values. A single-valued bag (every
+/// designator and function result, and every attribute of the benchmark
+/// workloads' requests) owns no heap block; a second value moves all
+/// values into the vector. values() spans whichever storage is live;
+/// while the bag holds one value the span points into the Bag itself, so
+/// it does not survive a move of the bag (or of the vector that holds it).
 class Bag {
  public:
-  Bag() = default;
-  explicit Bag(AttributeValue v) : size_(1), first_(std::move(v)) {}
+  Bag() noexcept {}
+  explicit Bag(AttributeValue v) : size_(1) { new (&one_) AttributeValue(std::move(v)); }
   explicit Bag(std::vector<AttributeValue> vs);
 
-  Bag(const Bag&) = default;
-  Bag& operator=(const Bag&) = default;
+  Bag(const Bag& other) : size_(other.size_) {
+    if (size_ == 1) {
+      new (&one_) AttributeValue(other.one_);
+    } else if (size_ > 1) {
+      new (&many_) Many(other.many_);
+    }
+  }
   /// A moved-from bag is empty.
-  Bag(Bag&& other) noexcept
-      : size_(std::exchange(other.size_, 0)),
-        first_(std::move(other.first_)),
-        spill_(std::move(other.spill_)) {}
+  Bag(Bag&& other) noexcept { take(std::move(other)); }
+  Bag& operator=(const Bag& other);
   Bag& operator=(Bag&& other) noexcept {
-    size_ = std::exchange(other.size_, 0);
-    first_ = std::move(other.first_);
-    spill_ = std::move(other.spill_);
+    if (this != &other) {
+      reset();
+      take(std::move(other));
+    }
     return *this;
   }
+  ~Bag() { reset(); }
 
   static Bag of(std::initializer_list<AttributeValue> vs);
 
@@ -117,8 +124,7 @@ class Bag {
   bool contains(const AttributeValue& v) const;
 
   std::span<const AttributeValue> values() const {
-    if (size_ <= 1) return {&first_, size_};
-    return spill_;
+    return {size_ > 1 ? many_.data() : &one_, size_};
   }
   const AttributeValue& at(std::size_t i) const;
 
@@ -132,9 +138,34 @@ class Bag {
   bool operator==(const Bag& other) const;
 
  private:
+  using Many = std::vector<AttributeValue>;
+
+  /// Moves `other`'s values into this bag, which holds nothing live, and
+  /// leaves `other` empty.
+  void take(Bag&& other) noexcept {
+    size_ = other.size_;
+    if (size_ == 1) {
+      new (&one_) AttributeValue(std::move(other.one_));
+    } else if (size_ > 1) {
+      new (&many_) Many(std::move(other.many_));
+    }
+    other.reset();
+  }
+  /// Destroys the live member; the bag is then empty.
+  void reset() noexcept {
+    if (size_ == 1) {
+      one_.~AttributeValue();
+    } else if (size_ > 1) {
+      many_.~Many();
+    }
+    size_ = 0;
+  }
+
   std::size_t size_ = 0;
-  AttributeValue first_;               // live while size_ == 1
-  std::vector<AttributeValue> spill_;  // live while size_ >= 2
+  union {
+    AttributeValue one_;  // live while size_ == 1
+    Many many_;           // live while size_ >= 2, and many_.size() == size_
+  };
 };
 
 /// XACML attribute categories. kDelegate supports the administration /

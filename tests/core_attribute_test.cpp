@@ -199,6 +199,11 @@ TEST(BagTest, CopyAndMoveKeepValuesInBothStorages) {
   }
 }
 
+TEST(BagTest, OneSlotHoldsEitherStorage) {
+  // The inline value and the vector share one slot, chosen by size().
+  EXPECT_LE(sizeof(Bag), sizeof(std::size_t) + sizeof(AttributeValue));
+}
+
 TEST(BagTest, AtOutOfRangeThrows) {
   EXPECT_THROW((void)Bag().at(0), std::out_of_range);
   EXPECT_THROW((void)Bag(kA).at(1), std::out_of_range);

@@ -1,44 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
 #include "core/serialization.hpp"
 #include "pep/pep.hpp"
 #include "pep/remote.hpp"
-
-// Per-thread allocation counting for the exact allocation gate (the same
-// hook as wire_codec_test): this binary replaces the global operator new
-// and counts each thread's allocations in a thread_local.
-namespace {
-thread_local std::uint64_t t_allocs = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++t_allocs;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++t_allocs;
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
+#include "support/alloc_counter.hpp"
 
 namespace mdac::pep {
 namespace {
@@ -102,9 +70,9 @@ TEST(PepTest, ObligationFreeEnforcementMakesNoAllocations) {
   for (const auto& c : cases) {
     EnforcementPoint pep([&c](const core::RequestContext&) { return c.decision; });
     EXPECT_EQ(pep.enforce(request).reason, c.reason);
-    const std::uint64_t before = t_allocs;
+    const std::uint64_t before = test::thread_allocations();
     for (int i = 0; i < 100; ++i) (void)pep.enforce(request);
-    EXPECT_EQ(t_allocs - before, 0u) << c.decision.describe();
+    EXPECT_EQ(test::thread_allocations() - before, 0u) << c.decision.describe();
   }
 }
 

@@ -190,13 +190,11 @@ TEST(RuntimeChurnTest, RepositoryLifecycleChurnsThroughPublisher) {
   config.queue_capacity = 2048;
   DecisionEngine engine(snapshots, config);
 
-  // One decision from the pre-churn snapshot lands before the PAP thread
-  // starts, so `permits > 0` below does not hinge on the workers winning
-  // a race against every republication and the withdrawal (on a loaded host
-  // they can lose it, and then every decision is the withdrawn store's).
-  std::vector<std::future<EngineResult>> inflight;
-  inflight.push_back(engine.submit(probe_request()));
-  inflight.back().wait();
+  // The withdrawal waits until the first submission below is decided, so
+  // at least one decision in the churn window comes from a policy still
+  // issued and `permits > 0` does not hinge on the workers winning a race
+  // against the PAP thread (on a loaded host they can lose every one).
+  std::atomic<bool> first_decided{false};
 
   // PAP thread: update (submit+issue) the policy through the repository
   // lifecycle; each successful issue republishes. Finally withdraw it.
@@ -211,13 +209,17 @@ TEST(RuntimeChurnTest, RepositoryLifecycleChurnsThroughPublisher) {
       clock.advance(1);
       std::this_thread::yield();
     }
+    while (!first_decided.load()) std::this_thread::yield();
     EXPECT_TRUE(pap_edge.withdraw("probe-policy", "admin"));
   });
 
   // Submissions race the churn; every decision must be a well-formed
   // single-version permit, or — once the withdrawal lands — the empty
   // store's NotApplicable (which a PEP denies fail-safe).
-  for (int i = 1; i < 600; ++i) inflight.push_back(engine.submit(probe_request()));
+  std::vector<std::future<EngineResult>> inflight;
+  for (int i = 0; i < 600; ++i) inflight.push_back(engine.submit(probe_request()));
+  inflight.front().wait();
+  first_decided.store(true);
   pap.join();
   auto last = engine.submit(probe_request());
   std::size_t permits = 0;
@@ -283,13 +285,11 @@ TEST(RuntimeChurnTest, ReferencedPolicyChurnThroughCompiledSets) {
   config.queue_capacity = 2048;
   DecisionEngine engine(snapshots, config);
 
-  // One decision from the pre-churn snapshot lands before the PAP thread
-  // starts, so `permits > 0` below does not hinge on the workers winning
-  // a race against every republication and the withdrawal (on a loaded host
-  // they can lose it, and then every decision is the withdrawn store's).
-  std::vector<std::future<EngineResult>> inflight;
-  inflight.push_back(engine.submit(probe_request()));
-  inflight.back().wait();
+  // The withdrawal waits until the first submission below is decided, so
+  // at least one decision in the churn window comes from a policy still
+  // issued and `permits > 0` does not hinge on the workers winning a race
+  // against the PAP thread (on a loaded host they can lose every one).
+  std::atomic<bool> first_decided{false};
 
   std::thread pap([&] {
     for (int k = 2; k <= kVersions; ++k) {
@@ -300,10 +300,14 @@ TEST(RuntimeChurnTest, ReferencedPolicyChurnThroughCompiledSets) {
       clock.advance(1);
       std::this_thread::yield();
     }
+    while (!first_decided.load()) std::this_thread::yield();
     EXPECT_TRUE(pap_edge.withdraw("probe-policy", "admin"));
   });
 
-  for (int i = 1; i < 600; ++i) inflight.push_back(engine.submit(probe_request()));
+  std::vector<std::future<EngineResult>> inflight;
+  for (int i = 0; i < 600; ++i) inflight.push_back(engine.submit(probe_request()));
+  inflight.front().wait();
+  first_decided.store(true);
   pap.join();
   auto last = engine.submit(probe_request());
 

@@ -7,10 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <future>
 #include <memory>
-#include <new>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -29,44 +27,8 @@
 #include "pep/remote.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/snapshot.hpp"
+#include "support/alloc_counter.hpp"
 #include "workload.hpp"
-
-// Per-thread allocation counting for the exact zero-allocation gates:
-// this binary replaces the global operator new, and every thread counts
-// its own allocations in a thread_local. A count taken around a loop on
-// one thread is exact and independent of core count and of what the
-// engine's workers allocate meanwhile.
-namespace {
-// Trivially constructible, so access needs no TLS guard.
-thread_local std::uint64_t t_allocs = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++t_allocs;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++t_allocs;
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-
-// The replacements above allocate with std::malloc, so free() is the
-// matching deallocator; GCC's mismatched-new-delete heuristic cannot see
-// that pairing.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace mdac::runtime {
 namespace {
@@ -605,9 +567,9 @@ TEST(DecisionEngineTest, UntracedSubmitMakesZeroAllocations) {
   };
 
   submit_range(0, kWarmup);
-  const std::uint64_t before = t_allocs;
+  const std::uint64_t before = test::thread_allocations();
   submit_range(kWarmup, kWarmup + kMeasured);
-  const std::uint64_t allocations = t_allocs - before;
+  const std::uint64_t allocations = test::thread_allocations() - before;
   while (completed.load() < kWarmup + kMeasured) std::this_thread::yield();
   engine.shutdown();
 
@@ -624,9 +586,9 @@ TEST(DecisionEngineTest, HotAgentShapedRequestCopiesInOneAllocation) {
   // entries array, since every bag holds its one value inline.
   for (const core::RequestContext& request : federation_pool(8, 64, 4, 64)) {
     ASSERT_EQ(request.size(), 5u);
-    const std::uint64_t before = t_allocs;
+    const std::uint64_t before = test::thread_allocations();
     const core::RequestContext copy = request;
-    const std::uint64_t allocations = t_allocs - before;
+    const std::uint64_t allocations = test::thread_allocations() - before;
     EXPECT_EQ(allocations, 1u);
     EXPECT_EQ(copy, request);
   }

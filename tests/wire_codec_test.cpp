@@ -16,9 +16,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
-#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -28,39 +26,9 @@
 #include "common/interner.hpp"
 #include "common/rng.hpp"
 #include "core/serialization.hpp"
+#include "support/alloc_counter.hpp"
 #include "workload.hpp"
 #include "xml/xml.hpp"
-
-// Per-thread allocation counting for the exact allocation gates (the
-// same hook as runtime_engine_test): this binary replaces the global
-// operator new and counts each thread's allocations in a thread_local.
-namespace {
-thread_local std::uint64_t t_allocs = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++t_allocs;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++t_allocs;
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace mdac::core {
 namespace {
@@ -552,9 +520,9 @@ TEST(WireCodecTest, DecisionEncodeMakesOneAllocationWhenWarm) {
   for (const Decision& d : decisions) (void)decision_to_string(d);  // warm the buffer
 
   std::size_t bytes = 0;
-  const std::uint64_t before = t_allocs;
+  const std::uint64_t before = test::thread_allocations();
   for (const Decision& d : decisions) bytes += decision_to_string(d).size();
-  const std::uint64_t allocations = t_allocs - before;
+  const std::uint64_t allocations = test::thread_allocations() - before;
   EXPECT_EQ(allocations, decisions.size());
   EXPECT_GT(bytes, 0u);
 }
@@ -579,9 +547,9 @@ TEST(WireCodecTest, ColdWireRequestDecodesInFourAllocations) {
   common::Rng rng(10);
   for (std::uint64_t i = 0; i < 64; ++i) {
     const std::string doc = request_to_string(bench::cold_wire_request(rng, 5'000'000 + i));
-    const std::uint64_t before = t_allocs;
+    const std::uint64_t before = test::thread_allocations();
     const RequestContext decoded = request_from_string(doc);
-    const std::uint64_t allocations = t_allocs - before;
+    const std::uint64_t allocations = test::thread_allocations() - before;
     ASSERT_EQ(decoded.size(), 6u);
     ASSERT_EQ(allocations, 4u) << doc;
   }
@@ -607,16 +575,16 @@ TEST(WireCodecTest, RequestDecodeAllocatesOnlyWhatTheContextHolds) {
       triples.push_back({c, id, v.to_text()});
     });
 
-    std::uint64_t before = t_allocs;
+    std::uint64_t before = test::thread_allocations();
     const RequestContext decoded = request_from_string(doc);
-    const std::uint64_t decode_allocs = t_allocs - before;
+    const std::uint64_t decode_allocs = test::thread_allocations() - before;
 
-    before = t_allocs;
+    before = test::thread_allocations();
     RequestContext built;
     for (const Triple& t : triples) {
       built.add(t.category, std::string_view(t.id), AttributeValue(std::string(t.text)));
     }
-    const std::uint64_t build_allocs = t_allocs - before;
+    const std::uint64_t build_allocs = test::thread_allocations() - before;
 
     ASSERT_EQ(decoded, built);
     ASSERT_EQ(decode_allocs, build_allocs) << doc;
