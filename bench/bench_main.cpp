@@ -11,8 +11,8 @@
 //     acceptance criterion, so it is measured, not asserted
 //   * lock acquisitions (locks/op) via a pthread_mutex_lock hook — the
 //     cached hit paths are gated at exactly zero
-//   * exact allocations per op on the evaluate, cached-hit, wire-decode
-//     and request-copy rows (check_exact_allocs)
+//   * exact allocations per op on the evaluate, cached-hit, wire-decode,
+//     request-copy and closed-loop rows (check_exact_allocs)
 //
 // Usage: bench_pdp [--smoke] [--out BENCH_pdp.json]
 //   --smoke shrinks every workload so the whole run fits in <2s; the
@@ -821,6 +821,60 @@ BenchResult bench_pdp_mt(const Scale& s, std::size_t workers) {
 BenchResult bench_pdp_mt_1(const Scale& s) { return bench_pdp_mt(s, 1); }
 BenchResult bench_pdp_mt_8(const Scale& s) { return bench_pdp_mt(s, 8); }
 
+/// One submitter with one request in flight, callback form, one worker:
+/// the closed loop a PEP thread runs against the engine. Each request
+/// finds the worker idle or about to park, so the row shows how often the
+/// engine parks and pays a wake-up per request (wakes_per_op,
+/// parks_per_op) and what the round trip costs (p50/p99 are single round
+/// trips). allocs_per_op counts every thread: the request copy on the
+/// submitter and the evaluate_batch result vector on the worker, one
+/// batch per request. The counted window opens and closes with the
+/// worker asleep, so its parks and wakes pair up.
+BenchResult bench_pdp_mt_closed_loop(const Scale& s) {
+  constexpr int kDomains = 8;
+  auto store = make_domain_policy_store(kDomains, s.policies, s.roles);
+  runtime::SnapshotPublisher publisher;
+  publisher.publish(store);
+  runtime::EngineConfig config;
+  config.workers = 1;
+  runtime::DecisionEngine engine(publisher, config);
+
+  common::Rng rng(4321);
+  std::vector<core::RequestContext> pool;
+  pool.reserve(512);
+  for (std::size_t i = 0; i < 512; ++i) {
+    pool.push_back(random_domain_request(rng, kDomains, s.policies, s.roles));
+  }
+  std::atomic<std::uint64_t> completed{0};
+  // One pointer of capture: fits std::function's small buffer.
+  const auto done = [&completed](runtime::EngineResult r) {
+    benchmark_sink(r.decision);
+    completed.fetch_add(1, std::memory_order_release);
+  };
+  std::uint64_t ops = 0;
+  const auto parked = [&engine] {
+    for (;;) {
+      runtime::EngineMetrics::Snapshot m = engine.metrics();
+      if (m.parks > m.wakes) return m;  // the worker is asleep
+      std::this_thread::yield();
+    }
+  };
+  const runtime::EngineMetrics::Snapshot before = parked();
+  const auto round_trip = [&](std::uint64_t i) {
+    engine.submit(pool[i % pool.size()], done);
+    ++ops;
+    while (completed.load(std::memory_order_acquire) != ops) std::this_thread::yield();
+  };
+  BenchResult r = run_bench("pdp_mt_closed_loop_1", s.iterations, 1, round_trip);
+  const runtime::EngineMetrics::Snapshot after = parked();
+  const double n = static_cast<double>(ops);
+  r.counters["workers"] = 1;
+  r.counters["wakes_per_op"] = static_cast<double>(after.wakes - before.wakes) / n;
+  r.counters["parks_per_op"] = static_cast<double>(after.parks - before.parks) / n;
+  r.counters["sheds"] = static_cast<double>(after.sheds());
+  return r;
+}
+
 /// The engine workload with the two-level decision cache attached: the
 /// hot pool is served from per-worker L1s (zero synchronisation) backed
 /// by the shared seqlock L2. Cache counters ride on every row so
@@ -1327,12 +1381,15 @@ int check_lock_free_hits(const Report& report) {
 /// RequestContext's entries array growing 1 -> 2 -> 4 -> 8 (every bag
 /// holds its one value inline); 1 for a request copy is its entries array,
 /// and 2 once the subject's role bag holds three values (plus its vector).
+/// The closed loop's 2 are its request copy and its one-request batch's
+/// result vector.
 int check_exact_allocs(const Report& report) {
   static constexpr ExactCount kExact[] = {{"pdp_evaluate_indexed", 0},
                                           {"cached_decision_hit", 0},
                                           {"wire_request_decode", 4},
                                           {"request_copy_cross_thread", 1},
-                                          {"request_copy_multi_role", 2}};
+                                          {"request_copy_multi_role", 2},
+                                          {"pdp_mt_closed_loop_1", 2}};
   return check_exact_counts(report, "alloc", "allocs", &BenchResult::allocs_per_op, kExact);
 }
 
@@ -1397,6 +1454,11 @@ int run(int argc, char** argv) {
   }
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
     BenchResult r = bench_pdp_mt_cached(scale, workers);
+    print_row(r);
+    report.add(std::move(r));
+  }
+  {
+    BenchResult r = bench_pdp_mt_closed_loop(scale);
     print_row(r);
     report.add(std::move(r));
   }

@@ -11,13 +11,12 @@ namespace mdac::cache {
 std::string canonical_request_key(const core::RequestContext& request) {
   // Wire-stable (category, attribute-name) order — see entries_by_name().
   std::ostringstream os;
-  for (const core::RequestContext::Entry* entry_ptr : request.entries_by_name()) {
-    const core::RequestContext::Entry& entry = *entry_ptr;
-    os << core::to_string(entry.category) << '|' << entry.name() << '=';
+  for (const core::RequestContext::NamedEntry& entry : request.entries_by_name()) {
+    os << core::to_string(entry.category) << '|' << *entry.name << '=';
     // Bags are canonicalised by sorting the lexical forms.
     std::vector<std::string> values;
-    values.reserve(entry.bag.size());
-    for (const core::AttributeValue& v : entry.bag.values()) {
+    values.reserve(entry.bag->size());
+    for (const core::AttributeValue& v : entry.bag->values()) {
       values.push_back(std::string(core::to_string(v.type())) + ":" + v.to_text());
     }
     std::sort(values.begin(), values.end());

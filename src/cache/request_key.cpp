@@ -137,11 +137,11 @@ RequestKey fingerprint(const core::RequestContext& request) {
   // Two requests that differ only in *where* a name is stored (interned
   // vs side) hash differently, which costs a cache miss, never a wrong
   // hit.
-  for (const core::RequestContext::Entry& entry : request.side_attributes()) {
+  for (const core::RequestContext::SideEntry& entry : request.side_attributes()) {
     const std::uint64_t category_tag = static_cast<std::uint64_t>(entry.category)
                                        << 32;
     const H128 name_hash =
-        hash_bytes2(entry.uninterned_name, seeds.b ^ category_tag,
+        hash_bytes2(entry.name, seeds.b ^ category_tag,
                     mix64(seeds.a) ^ category_tag);
     chain(mix64(name_hash.lo), mix64(name_hash.hi), entry.bag);
   }

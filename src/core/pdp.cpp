@@ -255,8 +255,8 @@ void Pdp::select_candidates(const RequestContext& request, std::size_t* skipped,
         visit_bag(entry.bag);
       }
     }
-    for (const RequestContext::Entry& entry : request.side_attributes()) {
-      if (is_domain_attribute(entry.uninterned_name)) visit_bag(entry.bag);
+    for (const RequestContext::SideEntry& entry : request.side_attributes()) {
+      if (is_domain_attribute(entry.name)) visit_bag(entry.bag);
     }
   }
   partition_probes_ += probed;

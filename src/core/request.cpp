@@ -30,10 +30,10 @@ auto probe(Entries& entries, Category category, common::Symbol id) {
 namespace {
 
 /// Strict weak order over side entries: category first, then name.
-bool side_before(const RequestContext::Entry& e, Category category,
+bool side_before(const RequestContext::SideEntry& e, Category category,
                  std::string_view name) {
   if (e.category != category) return e.category < category;
-  return e.uninterned_name < name;
+  return e.name < name;
 }
 
 }  // namespace
@@ -42,29 +42,32 @@ RequestContext::Entry& RequestContext::entry_for(Category category,
                                                  common::Symbol id) {
   const auto it = probe(entries_, category, id);
   if (it != entries_.end() && it->category == category && it->id == id) return *it;
-  return *entries_.insert(it, Entry{category, id, Bag(), {}});
+  // Value-initialised in place, then filled: inserting a braced
+  // temporary trips GCC 12's -Wmaybe-uninitialized on the bag's storage.
+  const auto inserted = entries_.emplace(it);
+  inserted->category = category;
+  inserted->id = id;
+  return *inserted;
 }
 
-RequestContext::Entry& RequestContext::side_entry_for(Category category,
-                                                      std::string_view name) {
+RequestContext::SideEntry& RequestContext::side_entry_for(Category category,
+                                                          std::string_view name) {
   const auto it = std::lower_bound(
       side_.begin(), side_.end(), name,
-      [category](const Entry& e, std::string_view n) {
+      [category](const SideEntry& e, std::string_view n) {
         return side_before(e, category, n);
       });
-  if (it != side_.end() && it->category == category && it->uninterned_name == name) {
-    return *it;
-  }
-  return *side_.insert(it, Entry{category, kUninterned, Bag(), std::string(name)});
+  if (it != side_.end() && it->category == category && it->name == name) return *it;
+  return *side_.insert(it, SideEntry{category, std::string(name), Bag()});
 }
 
 const Bag* RequestContext::side_get(Category category, std::string_view name) const {
   const auto it = std::lower_bound(
       side_.begin(), side_.end(), name,
-      [category](const Entry& e, std::string_view n) {
+      [category](const SideEntry& e, std::string_view n) {
         return side_before(e, category, n);
       });
-  if (it == side_.end() || it->category != category || it->uninterned_name != name) {
+  if (it == side_.end() || it->category != category || it->name != name) {
     return nullptr;
   }
   return &it->bag;
@@ -74,10 +77,10 @@ void RequestContext::absorb_side_entry(Category category, std::string_view name,
                                        Entry& into, bool keep_values) {
   const auto it = std::lower_bound(
       side_.begin(), side_.end(), name,
-      [category](const Entry& e, std::string_view n) {
+      [category](const SideEntry& e, std::string_view n) {
         return side_before(e, category, n);
       });
-  if (it == side_.end() || it->category != category || it->uninterned_name != name) {
+  if (it == side_.end() || it->category != category || it->name != name) {
     return;
   }
   if (keep_values) {
@@ -147,24 +150,19 @@ const Bag* RequestContext::get(Category category, const std::string& id) const {
   return side_get(category, id);
 }
 
-std::vector<const RequestContext::Entry*> RequestContext::entries_by_name() const {
+std::vector<RequestContext::NamedEntry> RequestContext::entries_by_name() const {
   // Resolve each name once (each name() call takes the interner's shared
   // lock; resolving inside the sort comparator would take it 2*n*log(n)
   // times). The references stay valid for the interner's lifetime.
-  std::vector<std::pair<const std::string*, const Entry*>> named;
+  std::vector<NamedEntry> named;
   named.reserve(entries_.size() + side_.size());
-  for (const Entry& entry : entries_) named.emplace_back(&entry.name(), &entry);
-  for (const Entry& entry : side_) named.emplace_back(&entry.uninterned_name, &entry);
-  std::sort(named.begin(), named.end(), [](const auto& a, const auto& b) {
-    if (a.second->category != b.second->category) {
-      return a.second->category < b.second->category;
-    }
-    return *a.first < *b.first;
+  for (const Entry& e : entries_) named.push_back({e.category, &e.name(), &e.bag});
+  for (const SideEntry& e : side_) named.push_back({e.category, &e.name, &e.bag});
+  std::sort(named.begin(), named.end(), [](const NamedEntry& a, const NamedEntry& b) {
+    if (a.category != b.category) return a.category < b.category;
+    return *a.name < *b.name;
   });
-  std::vector<const Entry*> out;
-  out.reserve(named.size());
-  for (const auto& [name, entry] : named) out.push_back(entry);
-  return out;
+  return named;
 }
 
 RequestContext RequestContext::make(const std::string& subject_id,

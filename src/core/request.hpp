@@ -40,26 +40,37 @@ namespace mdac::core {
 
 class RequestContext {
  public:
-  /// Sentinel `id` for side-table entries (the name was never interned).
-  static constexpr common::Symbol kUninterned = static_cast<common::Symbol>(-1);
-
-  /// One (category, attribute) bag. `id` indexes the global interner,
-  /// except for side-table entries, which carry their own name and use
-  /// the kUninterned sentinel id.
+  /// One (category, attribute) bag in the symbol-keyed storage; `id`
+  /// indexes the global interner. 56 bytes: the entry binary search
+  /// strides over these.
   struct Entry {
     Category category;
     common::Symbol id;
     Bag bag;
-    /// Set only for side-table entries (id == kUninterned).
-    std::string uninterned_name;
 
-    /// The attribute's name (resolved through the interner, or stored
-    /// in place for un-interned wire names).
-    const std::string& name() const {
-      return id == kUninterned ? uninterned_name : common::interner().name(id);
-    }
+    /// The attribute's name, resolved through the interner.
+    const std::string& name() const { return common::interner().name(id); }
 
     bool operator==(const Entry&) const = default;
+  };
+
+  /// One (category, attribute) bag in the side table: an un-interned
+  /// wire name, carried in place. A separate type so the symbol-keyed
+  /// entries the hot path searches carry no name string.
+  struct SideEntry {
+    Category category;
+    std::string name;
+    Bag bag;
+
+    bool operator==(const SideEntry&) const = default;
+  };
+
+  /// One attribute wherever it is stored: what the wire-stable walk
+  /// (entries_by_name) yields.
+  struct NamedEntry {
+    Category category;
+    const std::string* name;
+    const Bag* bag;
   };
 
   /// Adds a value to the (category, id) bag, creating the bag if needed.
@@ -96,13 +107,13 @@ class RequestContext {
 
   /// The un-interned side table, sorted by (category, name). Empty
   /// unless the request carried attribute names nobody interned.
-  const std::vector<Entry>& side_attributes() const { return side_; }
+  const std::vector<SideEntry>& side_attributes() const { return side_; }
 
   /// Entries re-sorted by (category, attribute *name*): the wire-stable
   /// order, independent of per-process interning order. Used by every
   /// serialised/canonical form (request_to_xml, canonical_request_key)
   /// so they cannot drift apart. Allocates; not for hot paths.
-  std::vector<const Entry*> entries_by_name() const;
+  std::vector<NamedEntry> entries_by_name() const;
 
   std::size_t size() const { return entries_.size() + side_.size(); }
 
@@ -117,7 +128,7 @@ class RequestContext {
 
  private:
   Entry& entry_for(Category category, common::Symbol id);
-  Entry& side_entry_for(Category category, std::string_view name);
+  SideEntry& side_entry_for(Category category, std::string_view name);
   const Bag* side_get(Category category, std::string_view name) const;
   /// Folds a stale side entry for (category, name) — one created before
   /// the name was interned — into `into`, so a write after late
@@ -127,7 +138,7 @@ class RequestContext {
                          bool keep_values);
 
   std::vector<Entry> entries_;  // interned, sorted by (category, id)
-  std::vector<Entry> side_;     // un-interned, sorted by (category, name)
+  std::vector<SideEntry> side_;  // un-interned, sorted by (category, name)
 };
 
 /// Fluent builder for more involved requests.

@@ -395,11 +395,10 @@ xml::Element request_to_xml(const RequestContext& request) {
   // Wire-stable (category, attribute-name) order — see entries_by_name().
   Category current{};
   xml::Element* group = nullptr;
-  for (const RequestContext::Entry* entry_ptr : request.entries_by_name()) {
-    const RequestContext::Entry& entry = *entry_ptr;
+  for (const RequestContext::NamedEntry& entry : request.entries_by_name()) {
     const Category category = entry.category;
-    const std::string& id = entry.name();
-    const Bag& bag = entry.bag;
+    const std::string& id = *entry.name;
+    const Bag& bag = *entry.bag;
     if (group == nullptr || category != current) {
       group = &e.add_child("Attributes");
       group->set_attr("Category", to_string(category));

@@ -34,9 +34,9 @@ PdpService::PdpService(net::Network& network, std::string node_id,
             break;
           }
         }
-        for (const core::RequestContext::Entry& entry : request.side_attributes()) {
+        for (const core::RequestContext::SideEntry& entry : request.side_attributes()) {
           if (rejected != nullptr) break;
-          if (!name_filter_(entry.name())) rejected = &entry.name();
+          if (!name_filter_(entry.name)) rejected = &entry.name;
         }
         if (rejected != nullptr) {
           ++filter_rejections_;

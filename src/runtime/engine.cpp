@@ -12,8 +12,6 @@
 #include <sched.h>
 #include <sys/syscall.h>
 #include <unistd.h>
-
-#include <climits>
 #endif
 
 #include "cache/request_key.hpp"
@@ -51,7 +49,6 @@ void EngineMetrics::record_batch(std::size_t worker, std::size_t batch_size) {
 }
 
 void EngineMetrics::record_decided(std::size_t worker, std::uint64_t latency_ns) {
-  decided_.fetch_add(1, std::memory_order_relaxed);
   workers_[worker]->ops.fetch_add(1, std::memory_order_relaxed);
   // bit_width maps [2^(i-1), 2^i) to bucket i; 0 -> bucket 0.
   const std::size_t bucket =
@@ -71,8 +68,8 @@ double bucket_value(std::size_t i) {
 }  // namespace
 
 void EngineMetrics::reset() {
-  submitted_.store(0, std::memory_order_relaxed);
-  decided_.store(0, std::memory_order_relaxed);
+  submitted_.value.store(0, std::memory_order_relaxed);
+  wakes_.value.store(0, std::memory_order_relaxed);
   version_evictions_.store(0, std::memory_order_relaxed);
   for (auto& count : sheds_) count.store(0, std::memory_order_relaxed);
   adoptions_.store(0, std::memory_order_relaxed);
@@ -84,6 +81,7 @@ void EngineMetrics::reset() {
     w->l2_hits.store(0, std::memory_order_relaxed);
     w->cache_misses.store(0, std::memory_order_relaxed);
     w->l2_retries.store(0, std::memory_order_relaxed);
+    w->parks.store(0, std::memory_order_relaxed);
   }
   for (auto& bucket : latency_histogram_) bucket.store(0, std::memory_order_relaxed);
   latency_sum_ns_.store(0, std::memory_order_relaxed);
@@ -91,8 +89,8 @@ void EngineMetrics::reset() {
 
 EngineMetrics::Snapshot EngineMetrics::snapshot() const {
   Snapshot s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.decided = decided_.load(std::memory_order_relaxed);
+  s.submitted = submitted_.value.load(std::memory_order_relaxed);
+  s.wakes = wakes_.value.load(std::memory_order_relaxed);
   s.version_evictions = version_evictions_.load(std::memory_order_relaxed);
   const auto shed = [this](CompletionStatus cause) {
     return sheds_[static_cast<std::size_t>(cause)].load(std::memory_order_relaxed);
@@ -108,6 +106,8 @@ EngineMetrics::Snapshot EngineMetrics::snapshot() const {
   s.worker_ops.reserve(workers_.size());
   for (const auto& w : workers_) {
     s.worker_ops.push_back(w->ops.load(std::memory_order_relaxed));
+    s.decided += s.worker_ops.back();
+    s.parks += w->parks.load(std::memory_order_relaxed);
     batches += w->batches.load(std::memory_order_relaxed);
     batched += w->batched_requests.load(std::memory_order_relaxed);
     s.l1_hits += w->l1_hits.load(std::memory_order_relaxed);
@@ -163,28 +163,35 @@ inline void record_span(obs::Trace* trace, obs::SpanKind kind, std::uint64_t at_
   }
 }
 
-// Parking on the engine's epoch word. On Linux these are raw futex
-// calls: std::atomic::wait spins and calls sched_yield a few times before
-// it sleeps, which an engine that parks between requests would pay on
-// every request. park may return spuriously; callers re-check.
-void park(std::atomic<std::uint32_t>& epoch, std::uint32_t seen) {
+// Park word states (see "Idle parking" in engine.hpp).
+constexpr std::uint32_t kRunning = 0;
+constexpr std::uint32_t kWaiting = 1;
+constexpr std::uint32_t kNotified = 2;
+
+/// Consecutive "ring empty but admission word non-zero" retries before a
+/// worker starts yielding the core.
+constexpr unsigned kSpinsBeforeYield = 64;
+
+// Sleeping on a worker's park word. On Linux these are raw futex calls:
+// std::atomic::wait spins and calls sched_yield a few times before it
+// sleeps, which an engine that parks between requests would pay on every
+// request. futex_wait may return spuriously; callers re-check.
+void futex_wait(std::atomic<std::uint32_t>& word, std::uint32_t seen) {
 #ifdef __linux__
   static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t));
-  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&epoch), FUTEX_WAIT_PRIVATE, seen,
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word), FUTEX_WAIT_PRIVATE, seen,
           nullptr, nullptr, 0);
 #else
-  epoch.wait(seen, std::memory_order_acquire);
+  word.wait(seen, std::memory_order_acquire);
 #endif
 }
 
-/// Bumps the epoch and wakes one / every worker parked on it.
-void wake(std::atomic<std::uint32_t>& epoch, bool all) {
-  epoch.fetch_add(1, std::memory_order_release);
+void futex_wake_one(std::atomic<std::uint32_t>& word) {
 #ifdef __linux__
-  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&epoch), FUTEX_WAKE_PRIVATE,
-          all ? INT_MAX : 1, nullptr, nullptr, 0);
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word), FUTEX_WAKE_PRIVATE, 1,
+          nullptr, nullptr, 0);
 #else
-  all ? epoch.notify_all() : epoch.notify_one();
+  word.notify_one();
 #endif
 }
 
@@ -233,6 +240,20 @@ DecisionEngine::DecisionEngine(SnapshotPublisher& publisher, EngineConfig config
   for (std::size_t i = 0; i < slots; ++i) {
     slots_[i].sequence.store(i, std::memory_order_relaxed);
   }
+  // Room for every job the workers can hold at once, so a submitter that
+  // reclaims faster than jobs complete keeps the ring from filling. At
+  // least two slots: with one, "published at p" and "free for p + 1" are
+  // the same sequence value.
+  const std::size_t returns =
+      std::bit_ceil(std::max<std::size_t>(2, config_.workers * config_.max_batch));
+  returns_ = std::make_unique<Slot[]>(returns);
+  return_mask_ = returns - 1;
+  for (std::size_t i = 0; i < returns; ++i) {
+    returns_[i].sequence.store(i, std::memory_order_relaxed);
+  }
+  idle_words_ = (config_.workers + 63) / 64;
+  idle_ = std::make_unique<IdleWord[]>(idle_words_);
+  park_ = std::make_unique<ParkWord[]>(config_.workers);
   threads_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
@@ -288,9 +309,13 @@ void DecisionEngine::submit(core::RequestContext request, Callback callback,
     // Deterministic admission control: the submitter learns immediately,
     // on its own thread, that this request was refused.
     complete(job, shed_result(refused), obs::Trace::kNoWorker);
-    return;
+  } else {
+    enqueue(std::move(job));
   }
-  enqueue(std::move(job));
+  // Free what the workers handed back here, on the thread whose malloc
+  // cache the next request copy draws from. Two per submit drain the
+  // ring faster than one completion per submit can fill it.
+  reclaim(2);
 }
 
 CompletionStatus DecisionEngine::admit() {
@@ -312,10 +337,97 @@ void DecisionEngine::enqueue(Job&& job) {
   while (slot.sequence.load(std::memory_order_acquire) != pos) std::this_thread::yield();
   slot.job = std::move(job);
   slot.sequence.store(pos + 1, std::memory_order_release);
+  wake_one();
+}
+
+void DecisionEngine::wake_one() {
   // Admit-then-check, paired with the worker's register-then-recheck in
-  // pop_batch (see the header comment): the seq_cst CAS in admit() and
-  // this seq_cst load order the producer's side.
-  if (sleepers_.load(std::memory_order_seq_cst) != 0) wake(epoch_, /*all=*/false);
+  // park() (see the header comment): the seq_cst CAS in admit() and the
+  // seq_cst reads of the mask here order the producer's side.
+  for (std::size_t w = 0; w < idle_words_; ++w) {
+    std::atomic<std::uint64_t>& bits = idle_[w].bits;
+    std::uint64_t seen = bits.load(std::memory_order_seq_cst);
+    while (seen != 0) {
+      const std::uint64_t bit = seen & (~seen + 1);  // lowest set bit
+      seen = bits.fetch_and(~bit, std::memory_order_seq_cst);
+      if ((seen & bit) != 0) {  // claimed: this registration is ours to wake
+        notify(w * 64 + static_cast<std::size_t>(std::countr_zero(bit)));
+        return;
+      }
+    }
+  }
+}
+
+void DecisionEngine::notify(std::size_t index) {
+  std::atomic<std::uint32_t>& state = park_[index].state;
+  if (state.exchange(kNotified, std::memory_order_acq_rel) == kWaiting) {
+    futex_wake_one(state);
+    metrics_.record_wake();
+  }
+}
+
+void DecisionEngine::park(std::size_t index) {
+  std::atomic<std::uint64_t>& bits = idle_[index / 64].bits;
+  const std::uint64_t bit = std::uint64_t{1} << (index % 64);
+  std::atomic<std::uint32_t>& state = park_[index].state;
+  bits.fetch_or(bit, std::memory_order_seq_cst);
+  if (admission_.load(std::memory_order_seq_cst) == 0) {
+    std::uint32_t expected = kRunning;
+    if (state.compare_exchange_strong(expected, kWaiting, std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+      metrics_.record_park(index);
+      do {
+        futex_wait(state, kWaiting);
+      } while (state.load(std::memory_order_acquire) == kWaiting);
+    }
+    // kNotified now: this registration's claim, or a late one from an
+    // earlier registration (which costs one extra pass, nothing more).
+    state.store(kRunning, std::memory_order_relaxed);
+  }
+  // A producer that claimed the bit did so earlier in the mask's
+  // modification order, so its published slot is visible after this.
+  bits.fetch_and(~bit, std::memory_order_seq_cst);
+}
+
+bool DecisionEngine::give_back(Job& job) {
+  std::uint64_t pos = return_push_pos_.load(std::memory_order_relaxed);
+  for (;;) {
+    Slot& slot = returns_[pos & return_mask_];
+    const std::uint64_t sequence = slot.sequence.load(std::memory_order_acquire);
+    if (sequence == pos) {
+      if (return_push_pos_.compare_exchange_weak(pos, pos + 1,
+                                                 std::memory_order_relaxed)) {
+        slot.job = std::move(job);
+        slot.sequence.store(pos + 1, std::memory_order_release);
+        return true;
+      }
+    } else if (sequence < pos) {
+      return false;  // full: the slot still holds a job from a lap ago
+    } else {
+      pos = return_push_pos_.load(std::memory_order_relaxed);
+    }
+  }
+}
+
+void DecisionEngine::reclaim(std::size_t max) {
+  std::uint64_t pos = return_pop_pos_.load(std::memory_order_relaxed);
+  for (std::size_t freed = 0; freed < max;) {
+    Slot& slot = returns_[pos & return_mask_];
+    const std::uint64_t sequence = slot.sequence.load(std::memory_order_acquire);
+    if (sequence == pos + 1) {
+      if (return_pop_pos_.compare_exchange_weak(pos, pos + 1,
+                                                std::memory_order_relaxed)) {
+        Job returned = std::move(slot.job);
+        slot.sequence.store(pos + return_mask_ + 1, std::memory_order_release);
+        ++freed;
+        ++pos;
+      }  // returned (and what it owns) is destroyed here, on this thread
+    } else if (sequence < pos + 1) {
+      return;  // empty
+    } else {
+      pos = return_pop_pos_.load(std::memory_order_relaxed);
+    }
+  }
 }
 
 std::size_t DecisionEngine::take_batch(std::vector<Job>& out, std::size_t max) {
@@ -341,8 +453,8 @@ std::size_t DecisionEngine::take_batch(std::vector<Job>& out, std::size_t max) {
 
 void DecisionEngine::shutdown(Drain drain) {
   std::lock_guard shutdown_lock(shutdown_mutex_);
-  admission_.fetch_or(kClosedBit, std::memory_order_acq_rel);
-  wake(epoch_, /*all=*/true);
+  admission_.fetch_or(kClosedBit, std::memory_order_seq_cst);
+  for (std::size_t i = 0; i < config_.workers; ++i) notify(i);
   if (drain == Drain::kDiscard) {
     // Take what is queued, racing the workers: a job a worker wins is
     // decided, as one it popped just before the close would be.
@@ -363,23 +475,23 @@ void DecisionEngine::shutdown(Drain drain) {
     }
     joined_ = true;
   }
+  reclaim(return_mask_ + 1);
 }
 
-bool DecisionEngine::pop_batch(Worker& worker) {
+bool DecisionEngine::pop_batch(std::size_t index, Worker& worker) {
+  unsigned spins = 0;
   for (;;) {
     if (take_batch(worker.jobs, config_.max_batch) != 0) return true;
-    if (admission_.load(std::memory_order_acquire) == kClosedBit) return false;
-    // Eventcount: register, read the epoch, re-check, then wait. Park
-    // only on an open, empty engine; a non-zero count means a job is
-    // being published (or a closed engine still drains), so retry.
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    const std::uint32_t epoch = epoch_.load(std::memory_order_acquire);
-    if (admission_.load(std::memory_order_seq_cst) == 0) {
-      park(epoch_, epoch);
-    } else {
+    const std::uint64_t word = admission_.load(std::memory_order_acquire);
+    if (word == kClosedBit) return false;
+    if (word == 0) {
+      park(index);  // open and empty: register as idle and sleep
+      spins = 0;
+    } else if (++spins > kSpinsBeforeYield) {
+      // Admitted but not poppable yet (mid-publish, or a peer has not
+      // subtracted what it popped): retry; yield if it takes long.
       std::this_thread::yield();
     }
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -492,7 +604,6 @@ void DecisionEngine::publish_trace(Job& job, const EngineResult& result,
     s->set_tag(to_string(result.status));
   }
   tracer->publish(*trace);
-  job.trace.reset();
 }
 
 void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
@@ -572,7 +683,15 @@ void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
                fail_safe(CompletionStatus::kDecided, message.c_str()), worker_id);
     }
   };
+  // The requests go back to their jobs after evaluation, so each job
+  // leaves the batch whole and can travel back through the return ring.
+  const auto restore_requests = [&worker] {
+    for (std::size_t i = 0; i < worker.pending.size(); ++i) {
+      worker.jobs[worker.pending[i]].request = std::move(worker.requests[i]);
+    }
+  };
   if (worker.pdp == nullptr) {  // no snapshot was ever published
+    restore_requests();
     fail_pending(kNoSnapshotMessage);
     return;
   }
@@ -591,6 +710,7 @@ void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
   } catch (...) {
     evaluation_error = "evaluation failed: non-exception value thrown";
   }
+  restore_requests();
   if (!evaluation_error.empty()) {
     common::log_error("runtime: batch evaluation threw",
                       {{"worker", static_cast<std::uint64_t>(index)},
@@ -655,8 +775,13 @@ void DecisionEngine::worker_loop(std::size_t index) {
   }
   Worker worker(config_.l1_capacity);
   worker.jobs.reserve(config_.max_batch);
-  while (pop_batch(worker)) {
+  while (pop_batch(index, worker)) {
     process_batch(index, worker);
+    // Every callback of the batch has run: hand the jobs' storage back
+    // to the submitting side; what does not fit is freed here.
+    for (Job& job : worker.jobs) {
+      if (!give_back(job)) break;
+    }
     worker.jobs.clear();
   }
 }
@@ -695,6 +820,12 @@ std::uint64_t DecisionEngine::register_metrics(obs::Registry& registry) const {
     sink.counter("mdac_engine_snapshot_adoptions_total",
                  "Snapshot adoptions across all workers.",
                  static_cast<double>(s.snapshot_adoptions));
+    sink.counter("mdac_engine_parks_total",
+                 "Times a worker went to sleep waiting for work.",
+                 static_cast<double>(s.parks));
+    sink.counter("mdac_engine_wakes_total",
+                 "Wake-up syscalls issued to parked workers.",
+                 static_cast<double>(s.wakes));
     sink.gauge("mdac_engine_queue_depth", "Instantaneous submission-queue depth.",
                static_cast<double>(s.queue_depth));
     sink.gauge("mdac_engine_queue_capacity", "Admission bound of the queue.",

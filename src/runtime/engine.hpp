@@ -47,7 +47,7 @@
 // still serves), so long-running engines don't accumulate unreachable
 // entries.
 //
-// Admission and the slot ring. Submitters and workers share three
+// Admission and the slot ring. Submitters and workers share four
 // lock-free pieces:
 //
 //   * The ring: bit_ceil(queue_capacity) preallocated Job slots, each
@@ -66,23 +66,65 @@
 //     (at worst it yields while a worker finishes moving a job out of
 //     the slot it wraps onto). A racing submitter is therefore either
 //     admitted — and later drained or discarded — or shed; never lost.
-//   * Eventcount parking: a worker that finds the ring empty registers
-//     in `sleepers_` (a seq_cst RMW), reads `epoch_` and re-checks the
-//     admission word with a seq_cst load; it waits on `epoch_` (a futex)
-//     only if the word still reads 0 — open, nothing admitted. A
-//     producer's admission CAS and its later read of `sleepers_` (after
-//     publishing the slot) are seq_cst too, so both sides' store-then-
-//     load pairs sit in the single seq_cst order (Dekker): either the
-//     worker's re-check sees the admission, or the producer sees the
-//     registered sleeper, bumps `epoch_` and wakes one worker — and a
-//     bump the worker missed makes its wait return at once. A wake-up
-//     cannot be lost, and a busy engine pays no syscall per submit. A
-//     non-zero re-check means a job is mid-publish (or a closed engine
-//     is still draining): the worker yields and retries.
-//     Shutdown sets the closed bit and wakes every worker; a worker
+//   * Idle parking: one bit per worker in an idle mask (64 workers per
+//     mask word) and one park word per worker (kRunning, kWaiting,
+//     kNotified), each on its own cache line. A worker that finds the
+//     ring empty and the admission word at 0 sets its bit with a seq_cst
+//     fetch_or and re-checks the admission word with a seq_cst load. If
+//     the word still reads 0 it CASes its park word kRunning -> kWaiting
+//     (a park) and futex-waits while the word reads kWaiting. Either way
+//     it then clears its bit, consumes any notification and retries.
+//     After publishing its slot, a producer reads the mask (seq_cst),
+//     claims one set bit with fetch_and and notifies that worker alone:
+//     it swaps the park word to kNotified and issues FUTEX_WAKE only if
+//     the swap read kWaiting. The Dekker argument: the producer's
+//     admission CAS precedes its mask read, and the worker's fetch_or
+//     precedes its re-check, all four seq_cst. If the worker's re-check
+//     read 0, it came before the admission in the single seq_cst order,
+//     so the mask read comes after the fetch_or and finds that bit set
+//     (or already claimed, which also ends in a notification). So a
+//     worker parks only where some producer will see it, and no job is
+//     stranded while a registered worker sleeps. A claimed worker's
+//     clearing fetch_and follows the claim in the mask's modification
+//     order, which makes the claimer's slot visible to its next pop. A
+//     bit is set once per registration and claimed at most once, so a
+//     wake always lands on a worker that registered as idle, and a
+//     second submit never wakes it again: FUTEX_WAKE calls <= parks.
+//     A producer that finds the mask empty makes no syscall. When the
+//     ring is empty but the admission word is not 0 (a job mid-publish,
+//     a peer that popped but has not yet subtracted, a closed engine
+//     still draining) the worker does not register: it retries, and
+//     yields only after a short spin, for a producer preempted
+//     mid-publish. A notification that lands after its worker already
+//     moved on makes that worker's next park return at once, once.
+//     Shutdown sets the closed bit and notifies every worker; a worker
 //     exits once the word reads exactly "closed, 0 admitted". A kDiscard
 //     shutdown empties the ring on the calling thread; a job a worker
 //     wins from it meanwhile is decided, as if popped before the close.
+//   * The return ring: bit_ceil(workers * max_batch) slots (at least 2)
+//     with the same Vyukov sequence scheme, carrying completed jobs back
+//     to the submitting side. After a batch's callbacks have run, the
+//     worker moves each job (the request's heap block, the callback, a
+//     sampled trace) into the ring; each submit pops and destroys up to
+//     two returned jobs on its own thread after enqueueing. The blocks go
+//     back to the submitter's malloc cache, where its next request copy
+//     takes them, instead of crossing threads on every request. A full
+//     ring makes the worker destroy the rest itself. (A worker preempted
+//     between claiming a return slot and filling it holds up reclaim at
+//     that slot until it runs again, so its peers can fill the ring.)
+//     With several submitters one may free another's block. shutdown()
+//     empties the ring after joining, so no callback object outlives
+//     it.
+//
+// What a busy engine pays per submit: one admission CAS, one slot
+// publish, one mask read, and up to two return-ring pops. It issues a
+// FUTEX_WAKE only when the mask shows a parked or parking worker, which
+// on a lightly loaded engine (workers faster than submitters) is most
+// submits: parks and wakes are counted (EngineMetrics::Snapshot::parks,
+// wakes) so that cost is visible rather than assumed away.
+//
+// A completed job's callback object is destroyed later than it is
+// invoked: on a later submit's thread, or by shutdown().
 //
 // Completion callbacks run on a worker thread — except shed-on-submit
 // (queue full / shutdown), which completes on the submitting thread
@@ -177,6 +219,11 @@ class EngineMetrics {
     std::uint64_t shed_shutdown = 0;
     std::uint64_t batches = 0;
     std::uint64_t snapshot_adoptions = 0;
+    /// Times a worker went to sleep on its park word (all workers).
+    std::uint64_t parks = 0;
+    /// FUTEX_WAKE calls issued to wake a parked worker; never above
+    /// `parks`, since each wake consumes one park.
+    std::uint64_t wakes = 0;
     /// Admitted requests no worker has popped yet. Read from the
     /// engine's admission word (DecisionEngine::metrics); 0 in
     /// EngineMetrics' own snapshot, which has no queue to look at.
@@ -213,7 +260,7 @@ class EngineMetrics {
 
   EngineMetrics(std::size_t workers, std::size_t queue_capacity);
 
-  void record_submitted() { submitted_.fetch_add(1, std::memory_order_relaxed); }
+  void record_submitted() { submitted_.value.fetch_add(1, std::memory_order_relaxed); }
   void record_shed(CompletionStatus cause) {
     sheds_[static_cast<std::size_t>(cause)].fetch_add(1, std::memory_order_relaxed);
   }
@@ -238,6 +285,10 @@ class EngineMetrics {
   void record_batch(std::size_t worker, std::size_t batch_size);
   void record_decided(std::size_t worker, std::uint64_t latency_ns);
   void record_adoption() { adoptions_.fetch_add(1, std::memory_order_relaxed); }
+  void record_park(std::size_t worker) {
+    workers_[worker]->parks.fetch_add(1, std::memory_order_relaxed);
+  }
+  void record_wake() { wakes_.value.fetch_add(1, std::memory_order_relaxed); }
 
   Snapshot snapshot() const;
 
@@ -263,11 +314,21 @@ class EngineMetrics {
     std::atomic<std::uint64_t> l2_hits{0};
     std::atomic<std::uint64_t> cache_misses{0};
     std::atomic<std::uint64_t> l2_retries{0};
+    std::atomic<std::uint64_t> parks{0};
+  };
+
+  /// A counter alone on its cache line.
+  struct alignas(64) PaddedCounter {
+    std::atomic<std::uint64_t> value{0};
   };
 
   std::size_t queue_capacity_;
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> decided_{0};
+  /// Written by every submit; on its own line so it does not share one
+  /// with anything a worker writes. `decided` is the sum of the
+  /// per-worker `ops`.
+  PaddedCounter submitted_;
+  /// Written by submitters that wake a worker.
+  PaddedCounter wakes_;
   std::atomic<std::uint64_t> version_evictions_{0};
   /// Sheds by cause, indexed by CompletionStatus (kDecided's slot unused).
   std::array<std::atomic<std::uint64_t>, 4> sheds_{};
@@ -446,9 +507,24 @@ class DecisionEngine {
   /// Claims one admission under the exact bound; kDecided = admitted,
   /// otherwise the shed status to complete with.
   CompletionStatus admit();
-  /// Moves an admitted job into its ring slot and wakes a parked worker
-  /// if one is registered.
+  /// Moves an admitted job into its ring slot and wakes one idle worker
+  /// if any is registered.
   void enqueue(Job&& job);
+  /// Claims one set bit of the idle mask and notifies that worker; no-op
+  /// when no worker is registered as idle.
+  void wake_one();
+  /// Sets worker `index`'s park word to kNotified, and wakes it if it
+  /// was asleep on the word.
+  void notify(std::size_t index);
+  /// Registers worker `index` as idle, re-checks the admission word and
+  /// sleeps on its park word while nothing is admitted; returns once
+  /// registered-and-woken or the re-check saw work or a close.
+  void park(std::size_t index);
+  /// Moves a completed job into the return ring; false = ring full (the
+  /// caller destroys it).
+  bool give_back(Job& job);
+  /// Pops and destroys up to `max` returned jobs on the calling thread.
+  void reclaim(std::size_t max);
   /// Pops up to `max` published jobs (one CAS for the whole run) into
   /// `out`, releases their slots and returns how many it took; 0 = the
   /// ring is empty at the head.
@@ -457,7 +533,7 @@ class DecisionEngine {
   void worker_loop(std::size_t index);
   /// Pops up to max_batch jobs into `worker.jobs`, parking while the
   /// ring is empty; false = closed and drained, exit.
-  bool pop_batch(Worker& worker);
+  bool pop_batch(std::size_t index, Worker& worker);
   /// Re-binds `worker` to the newest snapshot if it changed (the batch
   /// boundary of the RCU scheme); flushes the worker's L1 and triggers
   /// the shared-cache version sweep on change.
@@ -506,10 +582,24 @@ class DecisionEngine {
   alignas(64) std::atomic<std::uint64_t> admission_{0};
   alignas(64) std::atomic<std::uint64_t> enqueue_pos_{0};
   alignas(64) std::atomic<std::uint64_t> dequeue_pos_{0};
-  /// Parking: read by every submit, written only when a worker parks or
-  /// is woken — so the line stays shared while the engine is busy.
-  alignas(64) std::atomic<std::uint32_t> sleepers_{0};
-  std::atomic<std::uint32_t> epoch_{0};
+  /// Idle mask, one bit per worker: read by every submit, written only
+  /// when a worker registers, clears or is claimed — so its line stays
+  /// shared while the engine is busy.
+  struct alignas(64) IdleWord {
+    std::atomic<std::uint64_t> bits{0};
+  };
+  std::unique_ptr<IdleWord[]> idle_;
+  std::size_t idle_words_ = 0;
+  /// Per-worker park word (see "Idle parking" in the header comment).
+  struct alignas(64) ParkWord {
+    std::atomic<std::uint32_t> state{0};
+  };
+  std::unique_ptr<ParkWord[]> park_;
+  /// The return ring: completed jobs travelling back to submitters.
+  std::unique_ptr<Slot[]> returns_;
+  std::uint64_t return_mask_ = 0;
+  alignas(64) std::atomic<std::uint64_t> return_push_pos_{0};
+  alignas(64) std::atomic<std::uint64_t> return_pop_pos_{0};
   bool joined_ = false;
   std::mutex shutdown_mutex_;  // serialises shutdown() callers
   std::vector<std::thread> threads_;

@@ -19,6 +19,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/decision_cache.hpp"
@@ -273,6 +274,9 @@ TEST(GoldenExpositionTest, FullRegistryMatchesGoldenFile) {
   engine_config.queue_capacity = 8;
   runtime::DecisionEngine engine(publisher, engine_config, &cache);
   engine.register_metrics(registry);
+  // An idle worker parks once and stays parked: wait for both, so the
+  // park count on the page is exact.
+  while (engine.metrics().parks < engine_config.workers) std::this_thread::yield();
   cache.register_metrics(registry);
 
   // Dispatch over a dead primary: one timeout, one failover decide —

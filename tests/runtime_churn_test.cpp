@@ -660,6 +660,50 @@ TEST(RuntimeChurnTest, SubmittersRacingDiscardShutdownAreAllAnswered) {
   EXPECT_GE(ledger.count(CompletionStatus::kShutdown), config.queue_capacity);
 }
 
+TEST(RuntimeChurnTest, DiscardMidStreamAnswersOnceAndFreesEveryCallback) {
+  // Four submitters stream ungated requests; the discard lands while
+  // workers are completing and handing jobs back through the return
+  // ring. Each callback owns a heap block (a copy of `token`), so the
+  // ring carries callbacks as well as requests. In the sanitizer trees,
+  // ThreadSanitizer checks the hand-back and LeakSanitizer that nothing
+  // the ring held outlives the engine.
+  SnapshotPublisher publisher;
+  publisher.publish(make_stamped_store(1));
+  EngineConfig config;
+  config.workers = 2;
+  config.queue_capacity = 256;
+  config.max_batch = 16;
+  DecisionEngine engine(publisher, config);
+
+  constexpr std::size_t kTotal = kSubmitters * kPerSubmitter;
+  CompletionLedger ledger(kTotal);
+  const auto token = std::make_shared<int>(0);
+  std::atomic<std::size_t> submitted{0};
+  std::vector<std::thread> submitters;
+  for (std::size_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPerSubmitter; ++i) {
+        DecisionEngine::Callback done = ledger.callback(t * kPerSubmitter + i);
+        engine.submit(probe_request(),
+                      [done, token](EngineResult r) { done(std::move(r)); });
+        submitted.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  // Mid-stream: workers have completed (and handed back) some jobs.
+  while (submitted.load() < kTotal / 2 ||
+         ledger.count(CompletionStatus::kDecided) == 0) {
+    std::this_thread::yield();
+  }
+  engine.shutdown(DecisionEngine::Drain::kDiscard);
+  for (std::thread& t : submitters) t.join();
+
+  expect_all_answered(engine, ledger, kTotal);
+  // shutdown() emptied the return ring and the submitters have returned:
+  // every callback object is gone, whichever thread destroyed it.
+  EXPECT_EQ(token.use_count(), 1);
+}
+
 TEST(RuntimeChurnTest, AdmissionBoundIsExactForNonPowerOfTwoCapacity) {
   GateResolver gate;
   SnapshotPublisher publisher;

@@ -595,6 +595,147 @@ TEST(DecisionEngineTest, HotAgentShapedRequestCopiesInOneAllocation) {
 }
 
 // ---------------------------------------------------------------------
+// Completion path: storage goes back to the submitter; wakes hit idlers
+// ---------------------------------------------------------------------
+
+TEST(DecisionEngineTest, WorkersFreeNoRequestStorageInSteadyState) {
+  // A completed job travels back through the return ring and is freed by
+  // a later submit on the submitting thread. Every measured request is a
+  // shared-cache hit (the L1 is off), which allocates and frees nothing
+  // else on a worker, so any worker deallocation would be request storage.
+  // One worker: with several, one preempted between claiming a return
+  // slot and filling it holds up the ring's head while its peers fill the
+  // ring, and they then free what does not fit (the designed fallback).
+  auto store = bench::make_policy_store(8);
+  core::Pdp reference(store);
+  common::Rng rng(9);
+  std::vector<core::RequestContext> pool;
+  while (pool.size() < 16) {  // definitive decisions only: those are cached
+    core::RequestContext request = bench::random_request(rng, 8, 3);
+    const core::Decision expected = reference.evaluate(request);
+    if (expected.is_permit() || expected.is_deny()) pool.push_back(std::move(request));
+  }
+  SnapshotPublisher publisher;
+  publisher.publish(store);
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 1024});
+  EngineConfig config;
+  config.workers = 1;
+  config.max_batch = 64;
+  config.l1_capacity = 0;
+  DecisionEngine engine(publisher, config, &cache);
+  for (const core::RequestContext& request : pool) {
+    ASSERT_TRUE(engine.submit(request).get().decided());  // fills the shared cache
+  }
+
+  // Each callback reads its worker's deallocation count; the first one a
+  // worker runs in a phase sets that worker's baseline.
+  struct Probe {
+    std::atomic<std::uint32_t> phase{0};
+    std::atomic<std::uint64_t> worker_frees{0};
+    std::atomic<std::uint64_t> counted{0};
+    std::atomic<std::size_t> completed{0};
+  } probe;
+  const auto callback = [&probe](EngineResult result) {
+    static thread_local std::uint32_t seen_phase = 0;
+    static thread_local std::uint64_t last = 0;
+    EXPECT_TRUE(result.cache_hit);
+    const std::uint32_t phase = probe.phase.load(std::memory_order_acquire);
+    const std::uint64_t now = test::thread_deallocations();
+    if (phase == seen_phase) {
+      probe.worker_frees.fetch_add(now - last, std::memory_order_relaxed);
+      probe.counted.fetch_add(1, std::memory_order_relaxed);
+    }
+    seen_phase = phase;
+    last = now;
+    probe.completed.fetch_add(1, std::memory_order_release);
+  };
+  // At most 8 in flight, far below the 64 jobs the return ring holds
+  // (workers x max_batch): completions outrun reclaims by at most a few
+  // batches, so the ring never fills.
+  constexpr std::size_t kMaxInFlight = 8;
+  const auto run = [&](std::size_t count) {
+    const std::size_t base = probe.completed.load();
+    for (std::size_t i = 0; i < count; ++i) {
+      while (base + i - probe.completed.load(std::memory_order_acquire) >= kMaxInFlight) {
+        std::this_thread::yield();
+      }
+      engine.submit(pool[i % pool.size()], callback);
+    }
+    while (probe.completed.load() < base + count) std::this_thread::yield();
+  };
+  probe.phase.store(1);
+  run(2'000);  // warmup: every worker sets its baseline
+  probe.worker_frees.store(0);
+  probe.counted.store(0);
+  probe.phase.store(2);
+  run(20'000);
+  engine.shutdown();
+
+  EXPECT_GT(probe.counted.load(), 10'000u);
+  EXPECT_EQ(probe.worker_frees.load(), 0u);
+}
+
+TEST(DecisionEngineTest, WedgedWorkerDoesNotStrandARequestQueuedWhileItsPeerIsParked) {
+  GateResolver gate;
+  SnapshotPublisher publisher;
+  publisher.publish(make_gated_store());
+  EngineConfig config;
+  config.workers = 2;
+  config.max_batch = 1;
+  config.resolver = &gate;
+  DecisionEngine engine(publisher, config);
+
+  auto wedged = engine.submit(probe_request());
+  gate.wait_until_blocked(1);
+  // parks - wakes counts the workers asleep now: wait for the peer.
+  for (;;) {
+    const EngineMetrics::Snapshot m = engine.metrics();
+    if (m.parks > m.wakes) break;
+    std::this_thread::yield();
+  }
+
+  // This request carries the gate attribute, so its evaluation never
+  // reaches the wedged resolver: only the parked peer can serve it.
+  core::RequestContext open = probe_request();
+  open.add(core::Category::kEnvironment, "gate", core::AttributeValue(true));
+  auto queued = engine.submit(std::move(open));
+  ASSERT_EQ(queued.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+      << "the request waited behind the wedged worker";
+  EXPECT_TRUE(queued.get().decision.is_permit());
+
+  gate.open();
+  EXPECT_TRUE(wedged.get().decision.is_permit());
+}
+
+TEST(DecisionEngineTest, WakesNeverExceedParksPlusWorkers) {
+  SnapshotPublisher publisher;
+  publisher.publish(bench::make_policy_store(8));
+  EngineConfig config;
+  config.workers = 3;
+  DecisionEngine engine(publisher, config);
+
+  common::Rng rng(13);
+  // Serial round trips park the workers between requests; bursts find
+  // them busy.
+  for (int i = 0; i < 1'000; ++i) {
+    ASSERT_TRUE(engine.submit(bench::random_request(rng, 8, 3)).get().decided());
+  }
+  std::vector<std::future<EngineResult>> burst;
+  for (int round = 0; round < 20; ++round) {
+    burst.clear();
+    for (int i = 0; i < 100; ++i) {
+      burst.push_back(engine.submit(bench::random_request(rng, 8, 3)));
+    }
+    for (auto& f : burst) ASSERT_TRUE(f.get().decided());
+  }
+  engine.shutdown();
+
+  const EngineMetrics::Snapshot m = engine.metrics();
+  EXPECT_GT(m.parks, 0u);
+  EXPECT_LE(m.wakes, m.parks + config.workers);
+}
+
+// ---------------------------------------------------------------------
 // Worker placement (pin_workers)
 // ---------------------------------------------------------------------
 
