@@ -49,6 +49,7 @@
 #include "dependability/replicated_pdp.hpp"
 #include "net/fault.hpp"
 #include "obs/trace.hpp"
+#include "pap/repository.hpp"
 #include "report.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/snapshot.hpp"
@@ -154,6 +155,11 @@ struct Scale {
   std::uint64_t iterations = 200'000;
   std::uint64_t cache_iterations = 1'000'000;
   int threads = 4;
+  /// Corpus of the whole-corpus lint row and the larger issue row. Smoke
+  /// halves it rather than shrinking it tenfold: the issue-scaling gate
+  /// compares one issue against one whole-corpus lint, and needs a corpus
+  /// whose lint outweighs an issue's fixed parse, hash and compile cost.
+  int lint_policies = 2000;
 };
 
 /// Runs `op` `iterations` times in batches of `batch`, timing each batch
@@ -827,9 +833,9 @@ BenchResult bench_pdp_mt_8(const Scale& s) { return bench_pdp_mt(s, 8); }
 /// engine parks and pays a wake-up per request (wakes_per_op,
 /// parks_per_op) and what the round trip costs (p50/p99 are single round
 /// trips). allocs_per_op counts every thread: the request copy on the
-/// submitter and the evaluate_batch result vector on the worker, one
-/// batch per request. The counted window opens and closes with the
-/// worker asleep, so its parks and wakes pair up.
+/// submitter is the only one (the worker evaluates into kept scratch).
+/// The counted window opens and closes with the worker asleep, so its
+/// parks and wakes pair up.
 BenchResult bench_pdp_mt_closed_loop(const Scale& s) {
   constexpr int kDomains = 8;
   auto store = make_domain_policy_store(kDomains, s.policies, s.roles);
@@ -1149,9 +1155,9 @@ BenchResult bench_fault_plan(const Scale& s, const std::string& plan_name) {
 /// lint family, findings capped so the clock measures analysis, not
 /// materialising ~10^5 cross-root conflict findings) over a 2000-policy
 /// 8-domain federation corpus — the ISSUE's analyser scaling row. The
-/// smoke workload shrinks the corpus with everything else.
+/// smoke workload halves the corpus (Scale::lint_policies).
 BenchResult bench_analysis_lint(const Scale& s) {
-  const int corpus = s.policies * 10;  // full: 2000 policies, smoke: 200
+  const int corpus = s.lint_policies;  // full: 2000 policies, smoke: 1000
   auto store = make_domain_policy_store(8, corpus, s.roles);
   analysis::AnalyzerOptions options;
   options.max_findings_per_pass = 64;
@@ -1166,6 +1172,44 @@ BenchResult bench_analysis_lint(const Scale& s) {
   r.counters["error_findings"] = errors;
   r.counters["warning_findings"] = warnings;
   r.counters["suppressed_findings"] = suppressed;
+  return r;
+}
+
+/// Issue-time lint at one store size: each op submits and issues a new
+/// version of one policy in a repository holding `n_policies` issued
+/// federation policies (8 domains, lint on and gate off, the PapConfig
+/// defaults). Versions alternate the policy's read rule between permit
+/// and deny, so every issue replaces the conflicts the lint index holds
+/// for it. `pap_issue_2k` holds the analysis_lint_2k corpus: 250
+/// policies share each (domain, role), so one issue meets ~500
+/// conflicting atoms.
+BenchResult bench_pap_issue(const Scale& s, const char* name, int n_policies) {
+  constexpr int kDomains = 8;
+  common::ManualClock clock;
+  pap::PolicyRepository repo(clock);
+  std::uint64_t failures = 0;  // set-up and measured issues alike
+  for (int i = 0; i < n_policies; ++i) {
+    const core::Policy p = domain_role_policy(i % kDomains, i, s.roles);
+    if (!repo.submit(core::node_to_string(p), "bench") || !repo.issue(p.policy_id, "bench")) {
+      ++failures;
+    }
+  }
+  core::Policy flipped = domain_role_policy(0, 0, s.roles);
+  const std::string id = flipped.policy_id;
+  const std::string documents[2] = {core::node_to_string(flipped), [&] {
+                                      flipped.rules[0].effect = core::Effect::kDeny;
+                                      return core::node_to_string(flipped);
+                                    }()};
+  auto r = run_bench(name, std::max<std::uint64_t>(s.iterations / 400, 50), 1,
+                     [&](std::uint64_t i) {
+                       if (!repo.submit(documents[i % 2], "bench") ||
+                           !repo.issue(id, "bench")) {
+                         ++failures;
+                       }
+                     });
+  r.counters["policies"] = n_policies;
+  r.counters["failed_issues"] = static_cast<double>(failures);
+  r.counters["error_findings"] = static_cast<double>(repo.lint_report()->error_count);
   return r;
 }
 
@@ -1381,16 +1425,48 @@ int check_lock_free_hits(const Report& report) {
 /// RequestContext's entries array growing 1 -> 2 -> 4 -> 8 (every bag
 /// holds its one value inline); 1 for a request copy is its entries array,
 /// and 2 once the subject's role bag holds three values (plus its vector).
-/// The closed loop's 2 are its request copy and its one-request batch's
-/// result vector.
+/// The closed loop's 1 is its request copy: the worker evaluates into
+/// scratch it keeps across batches.
 int check_exact_allocs(const Report& report) {
   static constexpr ExactCount kExact[] = {{"pdp_evaluate_indexed", 0},
                                           {"cached_decision_hit", 0},
                                           {"wire_request_decode", 4},
                                           {"request_copy_cross_thread", 1},
                                           {"request_copy_multi_role", 2},
-                                          {"pdp_mt_closed_loop_1", 2}};
+                                          {"pdp_mt_closed_loop_1", 1}};
   return check_exact_counts(report, "alloc", "allocs", &BenchResult::allocs_per_op, kExact);
+}
+
+/// Issue-time lint costs what the candidate touches, not the store:
+/// allocations per issue into the 2k store stay within 2x of the 200
+/// store's, and an issue into the 2k store takes at most 1/20 of one
+/// whole-corpus lint of the same corpus (analysis_lint_2k, same run).
+/// Neither side depends on core count; both compare rows of one process.
+int check_pap_issue_scaling(const Report& report) {
+  const BenchResult* small = nullptr;
+  const BenchResult* large = nullptr;
+  const BenchResult* lint = nullptr;
+  for (const BenchResult& r : report.results()) {
+    if (r.name == "pap_issue_200") small = &r;
+    if (r.name == "pap_issue_2k") large = &r;
+    if (r.name == "analysis_lint_2k") lint = &r;
+  }
+  if (small == nullptr || large == nullptr || lint == nullptr) return 0;
+  int failures = 0;
+  const auto count = [&](const char* what, double value, double bound) {
+    std::printf("issue gate: %s %.4g (bound %.4g)\n", what, value, bound);
+    if (value > bound) {
+      std::fprintf(stderr, "FAIL: %s %.4g exceeds %.4g\n", what, value, bound);
+      ++failures;
+    }
+  };
+  for (const BenchResult* r : {small, large}) {
+    const auto it = r->counters.find("failed_issues");
+    count((r->name + " failed issues").c_str(), it->second, 0);
+  }
+  count("pap_issue_2k allocs/op", large->allocs_per_op, 2 * small->allocs_per_op);
+  count("pap_issue_2k mean ns", large->mean_ns, lint->mean_ns / 20);
+  return failures > 0 ? 1 : 0;
 }
 
 }  // namespace
@@ -1413,6 +1489,7 @@ int run(int argc, char** argv) {
       scale.iterations = 2'000;
       scale.cache_iterations = 10'000;
       scale.threads = 2;
+      scale.lint_policies = 1000;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out = argv[++i];
     } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
@@ -1482,6 +1559,13 @@ int run(int argc, char** argv) {
     print_row(r);
     report.add(std::move(r));
   }
+  for (const auto& [name, policies] :
+       {std::pair{"pap_issue_200", scale.lint_policies / 10},
+        std::pair{"pap_issue_2k", scale.lint_policies}}) {
+    BenchResult r = bench_pap_issue(scale, name, policies);
+    print_row(r);
+    report.add(std::move(r));
+  }
 
   if (!report.write(out, workload)) {
     std::fprintf(stderr, "failed to write %s\n", out.c_str());
@@ -1505,6 +1589,7 @@ int run(int argc, char** argv) {
   failures |= check_traced_overhead_floor(scale, report);
   failures |= check_lock_free_hits(report);
   failures |= check_exact_allocs(report);
+  failures |= check_pap_issue_scaling(report);
   if (!baseline.empty()) {
     failures |= check_regression(scale, report, baseline, max_regress);
   }

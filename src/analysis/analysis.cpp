@@ -1,7 +1,9 @@
 #include "analysis/analysis.hpp"
 
 #include <algorithm>
+#include <string_view>
 
+#include "analysis/passes.hpp"
 #include "core/combining.hpp"
 #include "core/compiled.hpp"
 #include "core/evaluation.hpp"
@@ -10,20 +12,13 @@
 
 namespace mdac::analysis {
 
-namespace {
+namespace detail {
 
 // ---------------------------------------------------------------------
 // Equality-fragment projection
 // ---------------------------------------------------------------------
 
-/// Constraint map plus a flag for structure outside the equality
-/// fragment. When `approximate` is false the map is *exactly* the
-/// target's admitted space; when true it over-approximates it (dropped
-/// conjuncts only ever widen the space).
-struct ExtractedTarget {
-  std::map<AttributeKey, std::set<std::string>> constraints;
-  bool approximate = false;
-};
+namespace {
 
 /// Projects a target onto the equality fragment. Each AnyOf whose AllOfs
 /// are single string-equality matches over one attribute becomes a
@@ -146,64 +141,29 @@ bool overlap_witness(const std::map<AttributeKey, std::set<std::string>>& a,
   return true;
 }
 
+}  // namespace
+
+bool overlaps(const Constraints& a, const Constraints& b) {
+  for (const auto& [key, a_values] : a) {
+    const auto b_it = b.find(key);
+    if (b_it == b.end()) continue;
+    bool found = false;
+    for (const std::string& v : a_values) {
+      if (b_it->second.count(v) > 0) {
+        found = true;
+        break;
+      }
+    }
+    if (!found) return false;
+  }
+  return true;
+}
+
+namespace {
+
 // ---------------------------------------------------------------------
 // Tree walk: atoms, per-policy rule projections, set children, edges
 // ---------------------------------------------------------------------
-
-/// A rule's own-target projection, used by the shadowing pass: sibling
-/// rules share their policy/set context, so coverage between them is
-/// decided on the rule-level targets alone (the shared context cancels).
-struct RuleInfo {
-  const core::Rule* rule = nullptr;
-  std::string path;  // root/.../policy/rule
-  ExtractedTarget own;
-  bool has_condition = false;
-  /// Full-path atom satisfiability + exactness (for dead-rule findings).
-  bool satisfiable = true;
-  bool exact_path = false;
-};
-
-struct PolicyInfo {
-  const core::Policy* policy = nullptr;
-  std::string root_id;
-  std::string path;  // root/.../policy
-  std::vector<RuleInfo> rules;
-};
-
-/// One direct child of a PolicySet, as the set-level shadowing and
-/// only-one-applicable passes see it.
-struct ChildInfo {
-  const core::PolicyTreeNode* node = nullptr;
-  std::string id;
-  bool is_policy = false;
-  bool is_reference = false;
-  /// Projection of the child's *own* target (sibling context cancels).
-  ExtractedTarget own;
-  /// Child is a Policy that always yields a decision when its target
-  /// matches: exact own target, a known combining algorithm, and an
-  /// unconditional catch-all rule.
-  bool always_decides = false;
-};
-
-struct SetInfo {
-  const core::PolicySet* set = nullptr;
-  std::string root_id;
-  std::string path;
-  std::vector<ChildInfo> children;
-};
-
-struct RefEdge {
-  std::string root_id;
-  std::string path;
-  std::string ref_id;
-};
-
-struct Collection {
-  std::vector<Atom> atoms;        // satisfiable only (overlap analysis)
-  std::vector<PolicyInfo> policies;
-  std::vector<SetInfo> sets;
-  std::vector<RefEdge> refs;
-};
 
 bool known_combining(const std::string& name) {
   return core::CombiningRegistry::standard().find(name) != nullptr;
@@ -253,6 +213,8 @@ void collect_policy(const core::Policy& policy, const std::string& root_id,
   }
   out->policies.push_back(std::move(info));
 }
+
+}  // namespace
 
 void collect_node(const core::PolicyTreeNode& node, const std::string& root_id,
                   const std::string& path, const ExtractedTarget& inherited,
@@ -308,47 +270,40 @@ void collect_node(const core::PolicyTreeNode& node, const std::string& root_id,
 // Report assembly (with per-pass materialisation caps)
 // ---------------------------------------------------------------------
 
-class ReportBuilder {
- public:
-  explicit ReportBuilder(std::size_t cap) : cap_(cap) {}
+bool ReportBuilder::admit(Pass pass, Severity severity) {
+  switch (severity) {
+    case Severity::kError: ++report_.error_count; break;
+    case Severity::kWarning: ++report_.warning_count; break;
+    case Severity::kInfo: ++report_.info_count; break;
+  }
+  if (counting_) return false;
+  const auto p = static_cast<std::size_t>(pass);
+  if (cap_ != 0 && materialised_[p] >= cap_) {
+    ++suppressed_[p];
+    ++report_.suppressed;
+    return false;
+  }
+  ++materialised_[p];
+  return true;
+}
 
-  void add(Finding f) {
-    switch (f.severity) {
-      case Severity::kError: ++report_.error_count; break;
-      case Severity::kWarning: ++report_.warning_count; break;
-      case Severity::kInfo: ++report_.info_count; break;
-    }
-    auto& materialised = per_pass_[static_cast<int>(f.pass)];
-    if (cap_ != 0 && materialised >= cap_) {
-      ++suppressed_[static_cast<int>(f.pass)];
-      ++report_.suppressed;
-      return;
-    }
-    ++materialised;
+AnalysisReport ReportBuilder::finish() {
+  for (std::size_t p = 0; p < kPasses; ++p) {
+    const std::size_t n = suppressed_[p];
+    if (n == 0) continue;
+    Finding f;
+    f.pass = static_cast<Pass>(p);
+    f.severity = Severity::kInfo;
+    f.code = "findings-truncated";
+    f.message = std::to_string(n) + " further " + to_string(f.pass) +
+                " finding(s) counted but not materialised (per-pass cap)";
+    ++report_.info_count;
     report_.findings.push_back(std::move(f));
   }
+  return std::move(report_);
+}
 
-  AnalysisReport finish() {
-    for (const auto& [pass, n] : suppressed_) {
-      Finding f;
-      f.pass = static_cast<Pass>(pass);
-      f.severity = Severity::kInfo;
-      f.code = "findings-truncated";
-      f.message = std::to_string(n) + " further " +
-                  to_string(static_cast<Pass>(pass)) +
-                  " finding(s) counted but not materialised (per-pass cap)";
-      ++report_.info_count;
-      report_.findings.push_back(std::move(f));
-    }
-    return std::move(report_);
-  }
-
- private:
-  std::size_t cap_;
-  AnalysisReport report_;
-  std::map<int, std::size_t> per_pass_;
-  std::map<int, std::size_t> suppressed_;
-};
+namespace {
 
 std::string describe_constraints(
     const std::map<AttributeKey, std::set<std::string>>& c) {
@@ -367,6 +322,8 @@ std::string describe_constraints(
   }
   return out;
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------
 // Pass: shadowing / unreachability
@@ -407,22 +364,22 @@ void shadow_rules(const PolicyInfo& pi, ReportBuilder* rb) {
       // Indeterminate on requests outside the coverer's space.
       if (!cov.own.constraints.empty() && cand.own.approximate) continue;
 
-      Finding f;
-      f.pass = Pass::kShadowing;
-      f.severity = Severity::kWarning;
-      f.code = "rule-shadowed";
-      f.root_id = pi.root_id;
-      f.path = cand.path;
-      f.other_root_id = pi.root_id;
-      f.other_path = cov.path;
-      f.message =
-          first_applicable
-              ? "rule can never decide: every request it admits is decided by "
-                "earlier rule '" +
-                    cov.rule->id + "' (first-applicable)"
-              : "rule effect can never surface: rule '" + cov.rule->id +
-                    "' covers its admitted space under " + combining;
-      rb->add(std::move(f));
+      rb->add(Pass::kShadowing, Severity::kWarning, [&] {
+        Finding f;
+        f.code = "rule-shadowed";
+        f.root_id = pi.root_id;
+        f.path = cand.path;
+        f.other_root_id = pi.root_id;
+        f.other_path = cov.path;
+        f.message =
+            first_applicable
+                ? "rule can never decide: every request it admits is decided by "
+                  "earlier rule '" +
+                      cov.rule->id + "' (first-applicable)"
+                : "rule effect can never surface: rule '" + cov.rule->id +
+                      "' covers its admitted space under " + combining;
+        return f;
+      });
       break;
     }
   }
@@ -441,18 +398,18 @@ void shadow_set_children(const SetInfo& si, ReportBuilder* rb) {
           (child.own.approximate || !child.is_policy)) {
         continue;
       }
-      Finding f;
-      f.pass = Pass::kShadowing;
-      f.severity = Severity::kWarning;
-      f.code = "policy-shadowed";
-      f.root_id = si.root_id;
-      f.path = si.path + "/" + child.id;
-      f.other_root_id = si.root_id;
-      f.other_path = si.path + "/" + d->id;
-      f.message = "child can never decide: earlier sibling '" + d->id +
-                  "' always yields a decision for every request it admits "
-                  "(first-applicable)";
-      rb->add(std::move(f));
+      rb->add(Pass::kShadowing, Severity::kWarning, [&] {
+        Finding f;
+        f.code = "policy-shadowed";
+        f.root_id = si.root_id;
+        f.path = si.path + "/" + child.id;
+        f.other_root_id = si.root_id;
+        f.other_path = si.path + "/" + d->id;
+        f.message = "child can never decide: earlier sibling '" + d->id +
+                    "' always yields a decision for every request it admits "
+                    "(first-applicable)";
+        return f;
+      });
       break;
     }
     if (child.always_decides) deciders.push_back(&child);
@@ -465,25 +422,23 @@ void only_one_applicable_overlaps(const SetInfo& si, ReportBuilder* rb) {
     for (std::size_t j = i + 1; j < si.children.size(); ++j) {
       const ChildInfo& a = si.children[i];
       const ChildInfo& b = si.children[j];
-      std::map<AttributeKey, std::string> witness;
-      if (!overlap_witness(a.own.constraints, b.own.constraints, &witness)) {
-        continue;
-      }
+      if (!overlaps(a.own.constraints, b.own.constraints)) continue;
       const bool approx = a.own.approximate || b.own.approximate;
-      Finding f;
-      f.pass = Pass::kModalityConflict;
-      f.severity = approx ? Severity::kWarning : Severity::kError;
-      f.code = "only-one-applicable-overlap";
-      f.root_id = si.root_id;
-      f.path = si.path + "/" + a.id;
-      f.other_root_id = si.root_id;
-      f.other_path = si.path + "/" + b.id;
-      f.witness = std::move(witness);
-      f.approximate = approx;
-      f.message = "children '" + a.id + "' and '" + b.id +
-                  "' can both apply; only-one-applicable then yields "
-                  "Indeterminate at runtime";
-      rb->add(std::move(f));
+      rb->add(Pass::kModalityConflict, approx ? Severity::kWarning : Severity::kError,
+              [&] {
+                Finding f;
+                f.code = "only-one-applicable-overlap";
+                f.root_id = si.root_id;
+                f.path = si.path + "/" + a.id;
+                f.other_root_id = si.root_id;
+                f.other_path = si.path + "/" + b.id;
+                overlap_witness(a.own.constraints, b.own.constraints, &f.witness);
+                f.approximate = approx;
+                f.message = "children '" + a.id + "' and '" + b.id +
+                            "' can both apply; only-one-applicable then yields "
+                            "Indeterminate at runtime";
+                return f;
+              });
     }
   }
 }
@@ -493,27 +448,28 @@ void only_one_applicable_overlaps(const SetInfo& si, ReportBuilder* rb) {
 // ---------------------------------------------------------------------
 
 void conflict_finding(const Atom& a, const Atom& b, ReportBuilder* rb) {
-  std::map<AttributeKey, std::string> witness;
-  if (!overlap_witness(a.constraints, b.constraints, &witness)) return;
+  if (!overlaps(a.constraints, b.constraints)) return;
   const Atom& permit = a.effect == core::Effect::kPermit ? a : b;
   const Atom& deny = a.effect == core::Effect::kPermit ? b : a;
   const bool approx = a.approximate || b.approximate;
-  Finding f;
-  f.pass = Pass::kModalityConflict;
-  f.severity = approx ? Severity::kWarning : Severity::kError;
-  f.code = "modality-conflict";
-  f.root_id = permit.root_id;
-  f.path = permit.path;
-  f.other_root_id = deny.root_id;
-  f.other_path = deny.path;
-  f.witness = std::move(witness);
-  f.approximate = approx;
-  f.message = "permit rule '" + permit.rule_id + "' and deny rule '" +
-              deny.rule_id + "' of independently issued trees overlap on " +
-              describe_constraints(permit.constraints) +
-              (approx ? " (approximate)" : "");
-  rb->add(std::move(f));
+  rb->add(Pass::kModalityConflict, approx ? Severity::kWarning : Severity::kError, [&] {
+    Finding f;
+    f.code = "modality-conflict";
+    f.root_id = permit.root_id;
+    f.path = permit.path;
+    f.other_root_id = deny.root_id;
+    f.other_path = deny.path;
+    overlap_witness(a.constraints, b.constraints, &f.witness);
+    f.approximate = approx;
+    f.message = "permit rule '" + permit.rule_id + "' and deny rule '" +
+                deny.rule_id + "' of independently issued trees overlap on " +
+                describe_constraints(permit.constraints) +
+                (approx ? " (approximate)" : "");
+    return f;
+  });
 }
+
+namespace {
 
 bool conflict_candidates(const Atom& a, const Atom& b) {
   return a.effect != b.effect && a.root_id != b.root_id;
@@ -575,49 +531,28 @@ void cross_root_conflicts(const std::vector<Atom>& atoms, ReportBuilder* rb) {
   compare_within(global);
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------
 // Pass: references
 // ---------------------------------------------------------------------
 
-void reference_pass(const Collection& col,
-                    const std::vector<AnalysisInput>& roots,
-                    const AnalyzerOptions& options, ReportBuilder* rb) {
-  std::set<std::string> root_ids;
-  for (const AnalysisInput& input : roots) {
-    if (input.node != nullptr) root_ids.insert(input.node->id());
-  }
-  const auto resolves = [&](const std::string& id) {
-    if (options.resolves) return options.resolves(id);
-    return root_ids.count(id) > 0;
-  };
-
-  for (const RefEdge& edge : col.refs) {
-    if (resolves(edge.ref_id)) continue;
-    const bool withdrawn = options.withdrawn && options.withdrawn(edge.ref_id);
+void reference_edge_finding(const RefEdge& edge, bool withdrawn, ReportBuilder* rb) {
+  rb->add(Pass::kReference, Severity::kError, [&] {
     Finding f;
-    f.pass = Pass::kReference;
-    f.severity = Severity::kError;
     f.code = withdrawn ? "reference-withdrawn" : "reference-dangling";
     f.root_id = edge.root_id;
     f.path = edge.path;
     f.other_root_id = edge.ref_id;
     f.message = std::string("policy reference '") + edge.ref_id +
-                (withdrawn ? "' names a withdrawn policy"
-                           : "' does not resolve");
-    rb->add(std::move(f));
-  }
+                (withdrawn ? "' names a withdrawn policy" : "' does not resolve");
+    return f;
+  });
+}
 
+void reference_cycles(const ReferenceGraph& edges, ReportBuilder* rb) {
   // Cycles among the analysed roots (a reference closure that loops
-  // yields runtime reference-cycle Indeterminates). Edges restricted to
-  // roots: a reference to an id outside the analysed set was reported
-  // above or resolves outside the cycle-relevant graph.
-  std::map<std::string, std::vector<std::string>> edges;
-  for (const AnalysisInput& input : roots) {
-    if (input.node == nullptr) continue;
-    for (const std::string& ref : core::referenced_policy_ids(*input.node)) {
-      if (root_ids.count(ref) > 0) edges[input.node->id()].push_back(ref);
-    }
-  }
+  // yields runtime reference-cycle Indeterminates).
   std::set<std::set<std::string>> reported;
   std::set<std::string> done;
   std::vector<std::string> stack;
@@ -669,9 +604,45 @@ void reference_pass(const Collection& col,
   }
 }
 
+namespace {
+
+void reference_pass(const Collection& col,
+                    const std::vector<AnalysisInput>& roots,
+                    const AnalyzerOptions& options, ReportBuilder* rb) {
+  std::set<std::string> root_ids;
+  for (const AnalysisInput& input : roots) {
+    if (input.node != nullptr) root_ids.insert(input.node->id());
+  }
+  const auto resolves = [&](const std::string& id) {
+    if (options.resolves) return options.resolves(id);
+    return root_ids.count(id) > 0;
+  };
+
+  for (const RefEdge& edge : col.refs) {
+    if (resolves(edge.ref_id)) continue;
+    reference_edge_finding(edge, options.withdrawn && options.withdrawn(edge.ref_id),
+                           rb);
+  }
+
+  // Edges restricted to roots: a reference to an id outside the analysed
+  // set was reported above or resolves outside the cycle-relevant graph.
+  ReferenceGraph edges;
+  for (const AnalysisInput& input : roots) {
+    if (input.node == nullptr) continue;
+    for (const std::string& ref : core::referenced_policy_ids(*input.node)) {
+      if (root_ids.count(ref) > 0) edges[input.node->id()].push_back(ref);
+    }
+  }
+  reference_cycles(edges, rb);
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------
 // Pass: types + dead code (expression walks)
 // ---------------------------------------------------------------------
+
+namespace {
 
 struct ExprScan {
   bool has_designator = false;
@@ -836,6 +807,8 @@ void unknown_combining_finding(const std::string& name, const char* kind,
   rb->add(std::move(f));
 }
 
+}  // namespace
+
 void types_and_dead_code(const core::PolicyTreeNode& node,
                          const std::string& root_id, const std::string& path,
                          bool types, bool dead_code, ReportBuilder* rb) {
@@ -882,7 +855,59 @@ void types_and_dead_code(const core::PolicyTreeNode& node,
   }
 }
 
-}  // namespace
+void never_applicable_rules(const PolicyInfo& pi, ReportBuilder* rb) {
+  if (pi.policy == nullptr) return;
+  for (const RuleInfo& ri : pi.rules) {
+    if (ri.satisfiable || !ri.exact_path) continue;
+    rb->add(Pass::kDeadCode, Severity::kWarning, [&] {
+      Finding f;
+      f.code = "rule-never-applicable";
+      f.root_id = pi.root_id;
+      f.path = ri.path;
+      f.message = "the rule's combined set/policy/rule target admits no request";
+      return f;
+    });
+  }
+}
+
+void vocabulary_findings(const std::string& root_id,
+                         const std::vector<std::string>& names,
+                         const std::set<std::string, std::less<>>& vocabulary,
+                         ReportBuilder* rb) {
+  std::set<std::string_view> seen;
+  for (const std::string& name : names) {
+    if (!seen.insert(name).second) continue;
+    if (vocabulary.find(name) != vocabulary.end()) continue;
+    rb->add(Pass::kVocabulary, Severity::kWarning, [&] {
+      Finding f;
+      f.code = "unknown-attribute";
+      f.root_id = root_id;
+      f.path = root_id;
+      f.message = "attribute '" + name +
+                  "' is not in the domain vocabulary: requests gated on the "
+                  "allowlist can never carry it";
+      return f;
+    });
+  }
+}
+
+void compile_findings(const std::string& root_id,
+                      const std::vector<std::string>& diagnostics, ReportBuilder* rb) {
+  for (const std::string& diagnostic : diagnostics) {
+    rb->add(Pass::kTypes, Severity::kInfo, [&] {
+      Finding f;
+      f.code = "compile-diagnostic";
+      f.root_id = root_id;
+      f.path = root_id;
+      f.message = diagnostic;
+      return f;
+    });
+  }
+}
+
+}  // namespace detail
+
+using namespace detail;
 
 // ---------------------------------------------------------------------
 // Atom extraction (legacy flat API + tree API)
@@ -960,6 +985,12 @@ AnalysisReport analyse_roots(const std::vector<AnalysisInput>& roots,
   }
   if (options.references) reference_pass(col, roots, options, &rb);
 
+  // Each root's walked policies, in walk order (a root id given twice
+  // names the policies of both walks, as a filter over all of them did).
+  std::map<std::string, std::vector<const PolicyInfo*>> policies_of;
+  if (options.dead_code) {
+    for (const PolicyInfo& pi : col.policies) policies_of[pi.root_id].push_back(&pi);
+  }
   for (const AnalysisInput& input : roots) {
     if (input.node == nullptr) continue;
     const std::string root_id = input.node->id();
@@ -970,57 +1001,16 @@ AnalysisReport analyse_roots(const std::vector<AnalysisInput>& roots,
     if (options.dead_code) {
       // Provably never-applicable rules: an exact target chain whose
       // intersection admits no value at all.
-      for (const PolicyInfo& pi : col.policies) {
-        if (pi.root_id != root_id) continue;
-        if (pi.policy == nullptr) continue;
-        for (const RuleInfo& ri : pi.rules) {
-          if (ri.satisfiable || !ri.exact_path) continue;
-          Finding f;
-          f.pass = Pass::kDeadCode;
-          f.severity = Severity::kWarning;
-          f.code = "rule-never-applicable";
-          f.root_id = root_id;
-          f.path = ri.path;
-          f.message =
-              "the rule's combined set/policy/rule target admits no request";
-          rb.add(std::move(f));
-        }
-      }
+      for (const PolicyInfo* pi : policies_of[root_id]) never_applicable_rules(*pi, &rb);
     }
     if (options.vocabulary != nullptr) {
-      std::set<std::string> seen;
-      for (const std::string& name :
-           core::referenced_attribute_names(*input.node)) {
-        if (!seen.insert(name).second) continue;
-        if (options.vocabulary->find(name) != options.vocabulary->end()) continue;
-        Finding f;
-        f.pass = Pass::kVocabulary;
-        f.severity = Severity::kWarning;
-        f.code = "unknown-attribute";
-        f.root_id = root_id;
-        f.path = root_id;
-        f.message = "attribute '" + name +
-                    "' is not in the domain vocabulary: requests gated on the "
-                    "allowlist can never carry it";
-        rb.add(std::move(f));
-      }
+      vocabulary_findings(root_id, core::referenced_attribute_names(*input.node),
+                          *options.vocabulary, &rb);
     }
     if (input.compiled != nullptr) {
-      for (const std::string& diagnostic : input.compiled->diagnostics()) {
-        Finding f;
-        f.pass = Pass::kTypes;
-        f.severity = Severity::kInfo;
-        f.code = "compile-diagnostic";
-        f.root_id = root_id;
-        f.path = root_id;
-        f.message = diagnostic;
-        rb.add(std::move(f));
-      }
+      compile_findings(root_id, input.compiled->diagnostics(), &rb);
     }
   }
-
-  // Deduplicate the walk-collected policies once more? Not needed: each
-  // root walked once; findings reference stable paths.
   return rb.finish();
 }
 

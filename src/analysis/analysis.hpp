@@ -46,8 +46,10 @@
 //                      designator-free expressions.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -168,6 +170,104 @@ AnalysisReport analyse_roots(const std::vector<AnalysisInput>& roots,
 /// artifacts); references resolve against the store.
 AnalysisReport analyse_store(const core::PolicyStore& store,
                              const AnalyzerOptions& options = {});
+
+/// The analyser's state for a corpus that changes one root at a time
+/// (the PAP's issued trees), so a change costs what it touches instead
+/// of a whole-corpus analyse_roots run:
+///   * per root, the results that depend on that root alone: atoms,
+///     shadowing, only-one-applicable, types and dead-code findings, its
+///     reference edges, the attribute names the vocabulary pass checks,
+///     and the compiled artifact whose diagnostics it reports;
+///   * a persistent conflict index of every root's atoms, bucketed by
+///     effect and by the value of the most common singleton equality
+///     constraint (unpinned atoms sit in a global list), as
+///     analyse_roots' conflict pass partitions them; a candidate's atoms
+///     are checked against their own bucket and the global list only, and
+///     every overlapping pair is kept as a link on both roots;
+///   * the reverse reference edges (referenced id -> referring roots):
+///     when an id joins or leaves the corpus, or the caller reports that
+///     its status changed (refresh_references), only the roots referring
+///     to it re-run their reference lints.
+/// After any sequence of changes, report() equals analyse_roots() over
+/// the current roots (each with the artifact last given to
+/// set_compiled) and the same options, compared as sets of findings;
+/// with a binding cap the totals and `suppressed` are equal and every
+/// kept finding is one analyse_roots could have kept.
+///
+/// Every call must pass options with the same pass switches (the cached
+/// per-root results were computed with them); the cap is applied by
+/// report(), and the `resolves` / `withdrawn` predicates and the
+/// vocabulary are read as they stand at the call. Not thread-safe.
+class IncrementalAnalysis {
+ public:
+  IncrementalAnalysis();
+  ~IncrementalAnalysis();
+  IncrementalAnalysis(const IncrementalAnalysis&) = delete;
+  IncrementalAnalysis& operator=(const IncrementalAnalysis&) = delete;
+
+  struct Root;
+  struct Link;
+
+  /// A candidate root analysed against the index but not part of it yet
+  /// (it replaces the root of the same id on commit). The totals count
+  /// every finding the corpus would carry that names the candidate: its
+  /// own per-root and reference findings, its conflicts with the other
+  /// roots, and reference cycles through it. Compile diagnostics are not
+  /// counted: the candidate has no artifact until set_compiled.
+  class Staged {
+   public:
+    Staged(Staged&&) noexcept;
+    Staged& operator=(Staged&&) noexcept;
+    ~Staged();
+
+    std::size_t error_count() const { return errors_; }
+    std::size_t warning_count() const { return warnings_; }
+    std::size_t info_count() const { return infos_; }
+
+   private:
+    friend class IncrementalAnalysis;
+    Staged();
+
+    std::unique_ptr<Root> root_;
+    std::vector<Link> links_;
+    std::uint64_t generation_ = 0;
+    std::size_t errors_ = 0;
+    std::size_t warnings_ = 0;
+    std::size_t infos_ = 0;
+  };
+
+  /// Analyses `node` as a candidate root. Does not change the index; a
+  /// stage is only valid for commit until the next commit or erase.
+  Staged stage(const core::PolicyTreeNode& node, const AnalyzerOptions& options) const;
+
+  /// Makes a staged candidate part of the corpus, replacing the root of
+  /// its id, and re-checks the references of the roots that refer to it.
+  /// Throws std::logic_error if the index changed since the stage.
+  void commit(Staged staged, const AnalyzerOptions& options);
+
+  /// Removes `root_id` (no-op if absent) and re-checks the references of
+  /// the roots that refer to it.
+  void erase(const std::string& root_id, const AnalyzerOptions& options);
+
+  /// Attaches `root_id`'s compiled artifact (its diagnostics become info
+  /// findings); null detaches. No-op if `root_id` is absent.
+  void set_compiled(const std::string& root_id,
+                    std::shared_ptr<const core::CompiledPolicyTree> compiled);
+
+  /// Re-runs the reference lints of the roots that refer to `id`: call
+  /// when `options.resolves` / `options.withdrawn` changed their answer
+  /// for an id without a commit or erase of that id.
+  void refresh_references(const std::string& id, const AnalyzerOptions& options);
+
+  /// Builds the report from the maintained state: per-root findings are
+  /// copied, conflict findings are only built while their pass is under
+  /// the cap, vocabulary and cycle findings are computed at this call.
+  AnalysisReport report(const AnalyzerOptions& options) const;
+
+ private:
+  struct Index;
+  std::unique_ptr<Index> index_;
+};
 
 /// Finding codes the shadowing/dead-code passes emit for rules (or
 /// whole policies) that provably can never decide — the set the dynamic

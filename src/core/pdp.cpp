@@ -287,15 +287,21 @@ PdpResult Pdp::evaluate_with_metrics(const RequestContext& request) {
 }
 
 std::vector<PdpResult> Pdp::evaluate_batch(std::span<const RequestContext> requests) {
-  debug_check_owner_thread();
-  rebuild_index_if_stale();
   std::vector<PdpResult> results;
   results.reserve(requests.size());
+  evaluate_batch(requests, &results);
+  return results;
+}
+
+void Pdp::evaluate_batch(std::span<const RequestContext> requests,
+                         std::vector<PdpResult>* results) {
+  debug_check_owner_thread();
+  rebuild_index_if_stale();
+  results->clear();
   for (const RequestContext& request : requests) {
     ++evaluation_count_;
-    results.push_back(evaluate_prepared(request));
+    results->push_back(evaluate_prepared(request));
   }
-  return results;
 }
 
 PdpResult Pdp::evaluate_prepared(const RequestContext& request) {

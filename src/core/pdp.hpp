@@ -135,6 +135,11 @@ class Pdp {
   /// reusing the scratch buffers across the whole batch. The store must
   /// not be mutated while the batch runs.
   std::vector<PdpResult> evaluate_batch(std::span<const RequestContext> requests);
+  /// As above, into `*results` (cleared first, then one result per
+  /// request): a caller that keeps the vector across batches evaluates
+  /// without allocating for the results once its capacity suffices.
+  void evaluate_batch(std::span<const RequestContext> requests,
+                      std::vector<PdpResult>* results);
 
   std::uint64_t evaluation_count() const { return evaluation_count_; }
   const PdpConfig& config() const { return config_; }

@@ -33,6 +33,11 @@ void PolicyRepository::record_audit(const std::string& actor,
   entry.version = version;
   entry.content_hash = crypto::digest_hex(crypto::Sha256::hash(document));
   audit_.push_back(std::move(entry));
+  {
+    // Every change is audited, so this is where a built report goes stale.
+    std::lock_guard lock(lint_report_mutex_);
+    lint_report_.reset();
+  }
   if (config_.audit_capacity != 0 && audit_.size() > config_.audit_capacity) {
     // Ring semantics: evict oldest, never refuse the new entry — recent
     // history is what incident response reads first. The eviction is
@@ -71,6 +76,7 @@ RepoOutcome PolicyRepository::submit(const std::string& document,
   }
 
   auto& versions = records_[policy_id];
+  const bool new_id = versions.empty();
   PolicyRecord record;
   record.policy_id = policy_id;
   record.version = versions.empty() ? 1 : versions.back().version + 1;
@@ -81,46 +87,37 @@ RepoOutcome PolicyRepository::submit(const std::string& document,
   versions.push_back(std::move(record));
 
   record_audit(author, "submit", policy_id, versions.back().version, document);
+  // A reference to an id the repository did not know dangled; now the id
+  // is known with nothing issued, it reads as withdrawn.
+  if (new_id && config_.lint_on_issue) {
+    lint_index_.refresh_references(policy_id, lint_options());
+  }
   return RepoOutcome::success();
 }
 
-RepoOutcome PolicyRepository::lint_candidate(const std::string& policy_id,
-                                             int version,
-                                             const core::PolicyTreeNode& node,
-                                             const std::string& actor) {
-  // Analyse the candidate together with the working set it would join:
-  // every already-issued compiled tree contributes its source node (and
-  // its artifact, for compile diagnostics). Cross-root conflicts against
-  // issued trees are exactly the paper's pre-deployment check.
-  std::vector<analysis::AnalysisInput> roots;
-  roots.push_back({&node, nullptr});
-  for (const auto& [other_id, artifact] : compiled_) {
-    if (other_id == policy_id || artifact == nullptr) continue;
-    roots.push_back({&artifact->source(), artifact.get()});
-  }
+analysis::AnalyzerOptions PolicyRepository::lint_options() const {
   analysis::AnalyzerOptions options;
-  options.resolves = [this, &policy_id](const std::string& id) {
-    return id == policy_id || issued(id) != nullptr;
-  };
+  options.resolves = [this](const std::string& id) { return issued(id) != nullptr; };
   options.withdrawn = [this](const std::string& id) {
     return records_.find(id) != records_.end() && issued(id) == nullptr;
   };
   if (!config_.lint_vocabulary_domain.empty()) {
     options.vocabulary = attribute_allowlist(config_.lint_vocabulary_domain);
   }
-  auto report = std::make_shared<analysis::AnalysisReport>(
-      analysis::analyse_roots(roots, options));
-  lint_report_ = report;
+  return options;
+}
 
-  std::size_t errors = 0, warnings = 0, infos = 0;
-  for (const analysis::Finding& f : report->findings) {
-    if (f.root_id != policy_id && f.other_root_id != policy_id) continue;
-    switch (f.severity) {
-      case analysis::Severity::kError: ++errors; break;
-      case analysis::Severity::kWarning: ++warnings; break;
-      case analysis::Severity::kInfo: ++infos; break;
-    }
-  }
+RepoOutcome PolicyRepository::lint_candidate(
+    const std::string& policy_id, int version, const core::PolicyTreeNode& node,
+    const std::string& actor, std::optional<analysis::IncrementalAnalysis::Staged>* staged) {
+  // The candidate against the working set it would join: its own
+  // findings, its conflicts with the issued trees' atoms in its bucket of
+  // the index, and its references. Cross-root conflicts against issued
+  // trees are exactly the paper's pre-deployment check.
+  staged->emplace(lint_index_.stage(node, lint_options()));
+  const std::size_t errors = (*staged)->error_count();
+  const std::size_t warnings = (*staged)->warning_count();
+  const std::size_t infos = (*staged)->info_count();
   const std::string summary = std::to_string(errors) + " error(s), " +
                               std::to_string(warnings) + " warning(s), " +
                               std::to_string(infos) + " info(s)";
@@ -134,6 +131,16 @@ RepoOutcome PolicyRepository::lint_candidate(const std::string& policy_id,
     record_audit(actor, "lint", policy_id, version, summary);
   }
   return RepoOutcome::success();
+}
+
+std::shared_ptr<const analysis::AnalysisReport> PolicyRepository::lint_report() const {
+  if (!linted_) return nullptr;
+  std::lock_guard lock(lint_report_mutex_);
+  if (lint_report_ == nullptr) {
+    lint_report_ = std::make_shared<const analysis::AnalysisReport>(
+        lint_index_.report(lint_options()));
+  }
+  return lint_report_;
 }
 
 RepoOutcome PolicyRepository::issue(const std::string& policy_id,
@@ -155,9 +162,10 @@ RepoOutcome PolicyRepository::issue(const std::string& policy_id,
     // broken record must not block issuing, only its compilation.
     node = nullptr;
   }
+  std::optional<analysis::IncrementalAnalysis::Staged> staged;
   if (node != nullptr && config_.lint_on_issue) {
     const RepoOutcome linted =
-        lint_candidate(policy_id, versions.back().version, *node, actor);
+        lint_candidate(policy_id, versions.back().version, *node, actor, &staged);
     if (!linted) return linted;
   }
 
@@ -168,6 +176,12 @@ RepoOutcome PolicyRepository::issue(const std::string& policy_id,
   versions.back().updated_at = clock_.now();
   record_audit(actor, "issue", policy_id, versions.back().version,
                versions.back().document);
+  // The issue goes through: the staged candidate replaces the previous
+  // version in the lint index (its artifact follows in compile_node).
+  if (staged) {
+    lint_index_.commit(std::move(*staged), lint_options());
+    linted_ = true;
+  }
 
   // Compile-on-issue (and recompile-on-update: a re-issued id replaces
   // its artifact). This is the trusted administrative path, so the
@@ -210,8 +224,7 @@ RepoOutcome PolicyRepository::issue(const std::string& policy_id,
     }
     compile_node(policy_id, *node, intern_names);
   } else {
-    compiled_.erase(policy_id);
-    references_.erase(policy_id);
+    drop_artifact(policy_id);
     resolve_only_.erase(policy_id);
   }
   // Issued PolicySets referencing this id carry compile-time diagnostics
@@ -230,6 +243,7 @@ void PolicyRepository::compile_node(const std::string& policy_id,
     return issued(id) != nullptr;
   };
   compiled_[policy_id] = core::CompiledPolicyTree::compile(node, options);
+  if (config_.lint_on_issue) lint_index_.set_compiled(policy_id, compiled_[policy_id]);
   const auto refs = core::referenced_policy_ids(node);
   references_[policy_id] = std::set<std::string>(refs.begin(), refs.end());
   if (intern_names) {
@@ -242,8 +256,7 @@ void PolicyRepository::compile_node(const std::string& policy_id,
 void PolicyRepository::compile_issued(const std::string& policy_id) {
   const PolicyRecord* record = issued(policy_id);
   if (record == nullptr) {
-    compiled_.erase(policy_id);
-    references_.erase(policy_id);
+    drop_artifact(policy_id);
     return;
   }
   try {
@@ -251,9 +264,14 @@ void PolicyRepository::compile_issued(const std::string& policy_id) {
     compile_node(policy_id, *node,
                  resolve_only_.find(policy_id) == resolve_only_.end());
   } catch (const std::exception&) {
-    compiled_.erase(policy_id);
-    references_.erase(policy_id);
+    drop_artifact(policy_id);
   }
+}
+
+void PolicyRepository::drop_artifact(const std::string& policy_id) {
+  compiled_.erase(policy_id);
+  references_.erase(policy_id);
+  if (config_.lint_on_issue) lint_index_.erase(policy_id, lint_options());
 }
 
 void PolicyRepository::recompile_dependents(const std::string& changed_id,
@@ -292,8 +310,7 @@ RepoOutcome PolicyRepository::withdraw(const std::string& policy_id,
     if (r.status == Lifecycle::kIssued) {
       r.status = Lifecycle::kWithdrawn;
       r.updated_at = clock_.now();
-      compiled_.erase(policy_id);  // nothing issued, nothing to execute
-      references_.erase(policy_id);
+      drop_artifact(policy_id);  // nothing issued, nothing to execute or lint
       resolve_only_.erase(policy_id);
       record_audit(actor, "withdraw", policy_id, r.version, r.document);
       // Sets still referencing the withdrawn id recompile so their

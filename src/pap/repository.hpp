@@ -10,12 +10,14 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "analysis/analysis.hpp"
 #include "analysis/finding.hpp"
 #include "common/clock.hpp"
 #include "core/policy.hpp"
@@ -69,14 +71,17 @@ struct RepoOutcome {
 /// Issue-time static-analysis policy (paper §3.1: conflicts are found
 /// *before* deployment, on the trusted administrative path).
 struct PapConfig {
-  /// Run the mdac::analysis linter on every issue(): the candidate node
-  /// plus every already-issued compiled tree are analysed together, and
-  /// findings involving the candidate are audited.
+  /// Run the mdac::analysis linter on every issue(): the candidate is
+  /// analysed against the issued trees (an analysis::IncrementalAnalysis
+  /// the repository keeps between issues, so the cost follows what the
+  /// candidate touches, not the corpus size), and findings involving the
+  /// candidate are audited.
   bool lint_on_issue = true;
   /// Refuse issuance outright when the lint report carries
   /// error-severity findings involving the candidate (cross-root
   /// modality conflicts, dangling references, type errors). The refusal
-  /// is audited as "lint-refused" and leaves the repository unchanged.
+  /// is audited as "lint-refused" and leaves the repository (and its
+  /// lint_report()) unchanged.
   bool lint_gate = false;
   /// Non-empty: the issue-time lint additionally checks the candidate's
   /// referenced attribute names against this domain's registered
@@ -194,14 +199,16 @@ class PolicyRepository {
   /// Bumped on every successful mutation — remote caches key off this.
   std::uint64_t revision() const { return revision_; }
 
-  /// The report from the most recent issue-time lint (null until the
-  /// first issue() with lint_on_issue). Snapshot publication
-  /// (runtime::SnapshotPublisher::publish_from) attaches this to the
-  /// published snapshot so PDP replicas can surface analyser findings
-  /// alongside the policy state they execute.
-  std::shared_ptr<const analysis::AnalysisReport> lint_report() const {
-    return lint_report_;
-  }
+  /// The analyser's report over the issued trees as they stand: every
+  /// issued tree with its compiled artifact, references resolving to
+  /// issued ids (null until the first successful issue() with
+  /// lint_on_issue). A lint-gate refusal leaves it unchanged, and a
+  /// withdrawn tree's findings leave with it. Built from the maintained
+  /// index when first read after a change, then shared until the next.
+  /// Snapshot publication (runtime::SnapshotPublisher::publish_from)
+  /// attaches it to the published snapshot so PDP replicas can surface
+  /// analyser findings alongside the policy state they execute.
+  std::shared_ptr<const analysis::AnalysisReport> lint_report() const;
 
   const PapConfig& config() const { return config_; }
 
@@ -225,16 +232,29 @@ class PolicyRepository {
   /// transitively (a set referencing a set referencing `changed_id`
   /// recompiles too). Audited per recompiled node.
   void recompile_dependents(const std::string& changed_id, const std::string& actor);
-  /// Lints `node` (the candidate for issuance as `policy_id`, at
-  /// `version`) against every already-issued compiled tree. Returns
-  /// failure when the gate refuses; audits findings either way.
+  /// Stages `node` (the candidate for issuance as `policy_id`, at
+  /// `version`) against the issued trees' lint index into `*staged` and
+  /// counts the findings that name it. Returns failure when the gate
+  /// refuses; audits findings either way. Changes no lint state: issue()
+  /// commits the stage only once the issue goes through.
   RepoOutcome lint_candidate(const std::string& policy_id, int version,
-                             const core::PolicyTreeNode& node,
-                             const std::string& actor);
+                             const core::PolicyTreeNode& node, const std::string& actor,
+                             std::optional<analysis::IncrementalAnalysis::Staged>* staged);
+  /// The analyser options the lint index runs with: references resolve
+  /// to issued ids, known ids with nothing issued count as withdrawn.
+  analysis::AnalyzerOptions lint_options() const;
+  /// Drops `policy_id`'s compiled artifact and dependency edges, and its
+  /// tree from the lint index: only compiled trees are linted.
+  void drop_artifact(const std::string& policy_id);
 
   const common::Clock& clock_;
   PapConfig config_;
-  std::shared_ptr<const analysis::AnalysisReport> lint_report_;
+  // The issued trees' analyser state (maintained while lint_on_issue).
+  analysis::IncrementalAnalysis lint_index_;
+  bool linted_ = false;  // a lint has been committed: lint_report() is non-null
+  mutable std::mutex lint_report_mutex_;
+  // Built on first read after a change; reset by every audited change.
+  mutable std::shared_ptr<const analysis::AnalysisReport> lint_report_;
   // id -> all versions, ascending.
   std::map<std::string, std::vector<PolicyRecord>> records_;
   // id -> compile-on-issue artifact for the currently issued version.

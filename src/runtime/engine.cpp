@@ -700,11 +700,12 @@ void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
   // exceptional (resource exhaustion, a resolver bug). Either way the
   // worker must survive — catch (...) because a shared resolver is user
   // code and can throw anything — and the batch is answered fail-safe.
-  std::vector<core::PdpResult> results;
+  std::vector<core::PdpResult>& results = worker.results;
   std::string evaluation_error;
   try {
-    results = worker.pdp->evaluate_batch(std::span<const core::RequestContext>(
-        worker.requests.data(), worker.requests.size()));
+    worker.pdp->evaluate_batch(std::span<const core::RequestContext>(
+                                   worker.requests.data(), worker.requests.size()),
+                               &results);
   } catch (const std::exception& e) {
     evaluation_error = std::string("evaluation failed: ") + e.what();
   } catch (...) {

@@ -492,6 +492,7 @@ class DecisionEngine {
     std::vector<core::RequestContext> requests;  // contiguous, for evaluate_batch
     std::vector<std::size_t> pending;            // jobs[i] awaiting evaluation
     std::vector<cache::RequestKey> pending_keys; // fingerprints, parallel to pending
+    std::vector<core::PdpResult> results;        // evaluate_batch output, parallel to pending
   };
 
   /// One ring slot: the Vyukov sequence number and the preallocated job.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 #include "analysis/analysis.hpp"
 #include "workload.hpp"
@@ -716,6 +717,67 @@ TEST(AnalyseStoreTest, ResolvesReferencesAgainstTheStore) {
   const auto dangling = findings_with_code(report, "reference-dangling");
   ASSERT_EQ(dangling.size(), 1u);
   EXPECT_EQ(dangling[0]->other_root_id, "missing");
+}
+
+// ---------------------------------------------------------------------
+// IncrementalAnalysis: stage / commit / erase
+// ---------------------------------------------------------------------
+
+TEST(IncrementalAnalysisTest, StageCountsCandidateWithoutChangingTheIndex) {
+  IncrementalAnalysis index;
+  const AnalyzerOptions options;
+  const core::Policy permit = make_policy("permit", core::Effect::kPermit,
+                                          "alice", "doc", "read");
+  const core::Policy deny = make_policy("deny", core::Effect::kDeny, "alice", "doc", "read");
+  index.commit(index.stage(permit, options), options);
+
+  const IncrementalAnalysis::Staged staged = index.stage(deny, options);
+  EXPECT_EQ(staged.error_count(), 1u);  // its conflict with "permit"
+  EXPECT_TRUE(index.report(options).ok());
+}
+
+TEST(IncrementalAnalysisTest, CommitReplacesAndEraseRemovesConflicts) {
+  IncrementalAnalysis index;
+  const AnalyzerOptions options;
+  const core::Policy permit = make_policy("p", core::Effect::kPermit, "alice", "doc", "read");
+  const core::Policy deny = make_policy("d", core::Effect::kDeny, "alice", "doc", "read");
+  const core::Policy deny_elsewhere =
+      make_policy("d", core::Effect::kDeny, "alice", "other-doc", "read");
+  index.commit(index.stage(permit, options), options);
+  index.commit(index.stage(deny, options), options);
+  EXPECT_EQ(findings_with_code(index.report(options), "modality-conflict").size(), 1u);
+
+  index.commit(index.stage(deny_elsewhere, options), options);  // a new version of "d"
+  EXPECT_TRUE(index.report(options).ok());
+  index.commit(index.stage(deny, options), options);
+  index.erase("p", options);
+  EXPECT_TRUE(index.report(options).ok());
+}
+
+TEST(IncrementalAnalysisTest, StaleStageIsRefused) {
+  IncrementalAnalysis index;
+  const AnalyzerOptions options;
+  const core::Policy a = make_policy("a", core::Effect::kPermit, "", "doc", "");
+  const core::Policy b = make_policy("b", core::Effect::kDeny, "", "doc", "");
+  IncrementalAnalysis::Staged stale = index.stage(b, options);
+  index.commit(index.stage(a, options), options);
+  EXPECT_THROW(index.commit(std::move(stale), options), std::logic_error);
+  EXPECT_TRUE(index.report(options).findings.empty());
+}
+
+TEST(IncrementalAnalysisTest, ReferrersFollowTheirReferent) {
+  IncrementalAnalysis index;
+  const AnalyzerOptions options;
+  core::PolicySet set;
+  set.policy_set_id = "set";
+  set.add_reference("leaf");
+  const core::Policy leaf = make_policy("leaf", core::Effect::kPermit, "", "doc", "");
+  index.commit(index.stage(set, options), options);
+  EXPECT_EQ(findings_with_code(index.report(options), "reference-dangling").size(), 1u);
+  index.commit(index.stage(leaf, options), options);
+  EXPECT_TRUE(findings_with_code(index.report(options), "reference-dangling").empty());
+  index.erase("leaf", options);
+  EXPECT_EQ(findings_with_code(index.report(options), "reference-dangling").size(), 1u);
 }
 
 // ---------------------------------------------------------------------

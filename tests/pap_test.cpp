@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <tuple>
 
+#include "analysis/analysis.hpp"
 #include "core/compiled.hpp"
 #include "core/expression.hpp"
 #include "core/pdp.hpp"
@@ -9,6 +12,7 @@
 #include "pap/admin_guard.hpp"
 #include "pap/repository.hpp"
 #include "pap/syndication.hpp"
+#include "runtime/snapshot.hpp"
 
 namespace mdac::pap {
 namespace {
@@ -225,6 +229,152 @@ TEST(RepositoryTest, LintOnIssueCanBeDisabled) {
   ASSERT_TRUE(repo.submit(simple_policy_doc("allow-doc", "doc"), "alice"));
   ASSERT_TRUE(repo.issue("allow-doc", "alice"));
   EXPECT_EQ(repo.lint_report(), nullptr);
+}
+
+/// A policy on `resource` whose second rule repeats the first under
+/// first-applicable: a "rule-shadowed" warning, which the gate lets pass.
+std::string shadowing_policy_doc(const std::string& id, const std::string& resource) {
+  core::Policy p;
+  p.policy_id = id;
+  p.rule_combining = "first-applicable";
+  p.target_spec.require(core::Category::kResource, core::attrs::kResourceId,
+                        core::AttributeValue(resource));
+  for (const char* rule_id : {"first", "again"}) {
+    core::Rule r;
+    r.id = id + "-" + rule_id;
+    r.effect = core::Effect::kPermit;
+    p.rules.push_back(std::move(r));
+  }
+  return core::node_to_string(p);
+}
+
+/// Every field of a finding, for set comparison.
+auto finding_fields(const analysis::Finding& f) {
+  return std::tie(f.pass, f.severity, f.code, f.root_id, f.path, f.other_root_id,
+                  f.other_path, f.message, f.witness, f.approximate);
+}
+
+std::vector<analysis::Finding> sorted_findings(const analysis::AnalysisReport& report) {
+  std::vector<analysis::Finding> out = report.findings;
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return finding_fields(a) < finding_fields(b);
+  });
+  return out;
+}
+
+bool same_findings(const analysis::AnalysisReport& a, const analysis::AnalysisReport& b) {
+  const auto x = sorted_findings(a);
+  const auto y = sorted_findings(b);
+  return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                    [](const auto& l, const auto& r) {
+                      return finding_fields(l) == finding_fields(r);
+                    });
+}
+
+TEST(RepositoryTest, LintGateRefusalLeavesLintReportUnchanged) {
+  common::ManualClock clock;
+  PapConfig config;
+  config.lint_gate = true;
+  PolicyRepository repo(clock, config);
+  ASSERT_TRUE(repo.submit(simple_policy_doc("allow-doc", "doc"), "alice"));
+  ASSERT_TRUE(repo.issue("allow-doc", "alice"));
+  ASSERT_TRUE(repo.submit(shadowing_policy_doc("other", "other-doc"), "alice"));
+  ASSERT_TRUE(repo.issue("other", "alice"));  // a warning passes the gate
+  const auto before = repo.lint_report();
+  ASSERT_NE(before, nullptr);
+  ASSERT_EQ(before->warning_count, 1u);
+
+  // Version 2 of "other" denies "doc": an exact conflict with allow-doc.
+  ASSERT_TRUE(repo.submit(simple_policy_doc("other", "doc", core::Effect::kDeny), "bob"));
+  EXPECT_FALSE(repo.issue("other", "bob"));
+  ASSERT_EQ(repo.issued("other")->version, 1);
+
+  // The report still describes the issued corpus: version 1's warning,
+  // no trace of the refused candidate's conflict.
+  const auto after = repo.lint_report();
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->error_count, before->error_count);
+  EXPECT_EQ(after->warning_count, before->warning_count);
+  EXPECT_EQ(after->info_count, before->info_count);
+  EXPECT_TRUE(same_findings(*after, *before));
+  for (const analysis::Finding& f : after->findings) {
+    EXPECT_NE(f.code, "modality-conflict") << f.message;
+  }
+}
+
+TEST(RepositoryTest, WithdrawnPolicyLeavesLintReport) {
+  common::ManualClock clock;
+  PolicyRepository repo(clock);  // gate off: the conflicting pair issues
+  runtime::SnapshotPublisher publisher;
+  ASSERT_TRUE(repo.submit(simple_policy_doc("allow-doc", "doc"), "alice"));
+  ASSERT_TRUE(repo.issue("allow-doc", "alice"));
+  ASSERT_TRUE(repo.submit(
+      simple_policy_doc("deny-doc", "doc", core::Effect::kDeny), "alice"));
+  ASSERT_TRUE(repo.issue("deny-doc", "alice"));
+  ASSERT_GT(repo.lint_report()->error_count, 0u);
+
+  ASSERT_TRUE(repo.withdraw("deny-doc", "alice"));
+  const auto report = repo.lint_report();
+  ASSERT_NE(report, nullptr);
+  EXPECT_EQ(report->error_count, 0u);
+  for (const analysis::Finding& f : report->findings) {
+    EXPECT_NE(f.root_id, "deny-doc") << f.code;
+    EXPECT_NE(f.other_root_id, "deny-doc") << f.code;
+  }
+  // The next publication ships the report without it.
+  const auto snapshot = publisher.publish_from(repo);
+  ASSERT_NE(snapshot->findings(), nullptr);
+  for (const analysis::Finding& f : snapshot->findings()->findings) {
+    EXPECT_NE(f.root_id, "deny-doc") << f.code;
+    EXPECT_NE(f.other_root_id, "deny-doc") << f.code;
+  }
+}
+
+TEST(RepositoryTest, LintReportMatchesFreshAnalysisOfIssuedTrees) {
+  // A set referencing a policy that is first unknown, then a draft, then
+  // issued, then withdrawn: each status change must reach the set's
+  // reference findings, and the report must always equal a fresh
+  // analysis of what is issued.
+  common::ManualClock clock;
+  PolicyRepository repo(clock);
+  core::PolicySet set;
+  set.policy_set_id = "umbrella";
+  set.add_node(std::make_unique<core::PolicyReference>("leaf"));
+  ASSERT_TRUE(repo.submit(core::node_to_string(set), "alice"));
+  ASSERT_TRUE(repo.submit(simple_policy_doc("allow-doc", "doc"), "alice"));
+  ASSERT_TRUE(repo.issue("allow-doc", "alice"));
+  ASSERT_TRUE(repo.issue("umbrella", "alice"));
+
+  const auto matches_fresh = [&](const char* step, const char* expected_code) {
+    std::vector<analysis::AnalysisInput> inputs;
+    for (const std::string& id : repo.policy_ids()) {
+      if (const auto artifact = repo.compiled(id)) {
+        inputs.push_back({&artifact->source(), artifact.get()});
+      }
+    }
+    analysis::AnalyzerOptions options;
+    options.resolves = [&](const std::string& id) { return repo.issued(id) != nullptr; };
+    options.withdrawn = [&](const std::string& id) {
+      return repo.latest(id) != nullptr && repo.issued(id) == nullptr;
+    };
+    const analysis::AnalysisReport fresh = analysis::analyse_roots(inputs, options);
+    const auto report = repo.lint_report();
+    ASSERT_NE(report, nullptr) << step;
+    EXPECT_TRUE(same_findings(*report, fresh)) << step;
+    EXPECT_EQ(report->error_count, fresh.error_count) << step;
+    bool found = expected_code == nullptr;
+    for (const analysis::Finding& f : report->findings) {
+      if (expected_code != nullptr && f.code == expected_code) found = true;
+    }
+    EXPECT_TRUE(found) << step << ": no " << expected_code;
+  };
+  matches_fresh("leaf unknown", "reference-dangling");
+  ASSERT_TRUE(repo.submit(simple_policy_doc("leaf", "leaf-doc"), "alice"));
+  matches_fresh("leaf drafted", "reference-withdrawn");
+  ASSERT_TRUE(repo.issue("leaf", "alice"));
+  matches_fresh("leaf issued", nullptr);
+  ASSERT_TRUE(repo.withdraw("leaf", "alice"));
+  matches_fresh("leaf withdrawn", "reference-withdrawn");
 }
 
 TEST(RepositoryTest, LoadIntoPdpStore) {
