@@ -882,9 +882,10 @@ BenchResult bench_pdp_mt_closed_loop(const Scale& s) {
 }
 
 /// The engine workload with the two-level decision cache attached: the
-/// hot pool is served from per-worker L1s (zero synchronisation) backed
-/// by the shared seqlock L2. Cache counters ride on every row so
-/// BENCH_pdp.json records where hits were served from.
+/// hot pool is served from per-worker private slot tables (no lock)
+/// backed by the shared seqlock L2. Cache counters ride on every row so
+/// BENCH_pdp.json records where hits were served from (l1_hits /
+/// l2_hits).
 /// `traced` attaches an obs::DecisionTracer with the given head-sampling
 /// cadence (0 = tracing compiled in and admitting ids, but recording no
 /// spans) — the pdp_mt_traced_* rows that pin the tracing-off overhead
@@ -905,7 +906,11 @@ BenchResult bench_pdp_mt_cached(const Scale& s, std::size_t workers, bool traced
   config.workers = workers;
   config.queue_capacity = 8192;
   config.max_batch = 64;
-  config.l1_capacity = 1024;  // holds the whole hot pool per worker
+  // 1024 slots in 256 four-way buckets per worker. The 512-request pool
+  // overflows a few buckets, and the keys that do not fit are served
+  // from the L2 and promoted again on every pass: the l1_hits/l2_hits
+  // split shows how many.
+  config.l1_capacity = 1024;
   if (traced) config.tracer = &tracer;
   runtime::DecisionEngine engine(publisher, config, &cache);
 

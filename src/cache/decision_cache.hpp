@@ -1,17 +1,18 @@
 // Decision caching (paper §3.2, "Communication Performance", citing Woo
 // & Lam's caching proposal [61]).
 //
-// One store: the seqlock slot table (seqlock_cache.hpp), whose hit path
+// One implementation: the slot table (seqlock_cache.hpp), whose hit path
 // is lock-free. Its key is the request's 128-bit fingerprint
 // (request_key.hpp) plus the snapshot version the decision was computed
 // under — so republication implicitly invalidates, and
 // `evict_older_than` reclaims entries of withdrawn versions. Two kinds
-// of caller share it:
+// of caller share the DecisionCache facade over it:
 //
 //   * The engine (runtime/engine.hpp) keys by snapshot version and
-//     fronts the table with a per-worker L1 (`WorkerL1Cache` below) —
-//     together, the two-level decision cache. An L1 cannot honour an
-//     expiry, so the engine refuses a cache with a TTL.
+//     fronts it with a private table per worker (a
+//     `WorkerDecisionCache`, the same table with a no-op lock) —
+//     together, the two-level decision cache. Both levels honour the
+//     facade's TTL, and an L2 hit promoted into an L1 keeps its expiry.
 //   * PEP-side callers (`CachingEvaluator`, `pep::EnforcementPoint`)
 //     store under version 0 and usually set a TTL: with no version
 //     stream, time is what bounds staleness.
@@ -23,10 +24,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "cache/request_key.hpp"
 #include "cache/seqlock_cache.hpp"
@@ -65,7 +64,7 @@ class DecisionCache {
   // ---- unversioned API (PEP-side callers; stored under version 0) ----
 
   std::optional<core::Decision> lookup(const core::RequestContext& request) {
-    return lookup(fingerprint(request), 0);
+    return lookup(fingerprint(request));
   }
 
   void insert(const core::RequestContext& request, const core::Decision& decision) {
@@ -74,7 +73,11 @@ class DecisionCache {
 
   /// Key-level overloads so callers probing and then filling (the
   /// CachingEvaluator / PEP shape) fingerprint the request only once.
-  std::optional<core::Decision> lookup(const RequestKey& key) { return lookup(key, 0); }
+  std::optional<core::Decision> lookup(const RequestKey& key) {
+    core::Decision d;
+    if (store_.lookup(key, 0, d)) return d;
+    return std::nullopt;
+  }
 
   void insert(const RequestKey& key, const core::Decision& decision) {
     insert(key, 0, decision);
@@ -82,17 +85,18 @@ class DecisionCache {
 
   // ---- versioned API (the engine) ----
 
-  /// Lock-free. Seqlock read retries are *added* to `*l2_retries` when
-  /// non-null.
-  std::optional<core::Decision> lookup(const RequestKey& key, std::uint64_t version,
-                                       std::uint64_t* l2_retries = nullptr) const {
-    core::Decision d;
-    if (store_.lookup(key, version, d, l2_retries)) return d;
-    return std::nullopt;
+  /// Lock-free. On a hit decodes into `out`; seqlock read retries are
+  /// *added* to `*l2_retries`, and the entry's expiry (clock ms, 0 =
+  /// never) is stored in `*expires_at`, when non-null.
+  bool lookup(const RequestKey& key, std::uint64_t version, core::Decision& out,
+              std::uint64_t* l2_retries = nullptr,
+              std::uint64_t* expires_at = nullptr) const {
+    return store_.lookup(key, version, out, l2_retries, expires_at);
   }
 
-  void insert(const RequestKey& key, std::uint64_t version, const core::Decision& decision) {
-    store_.insert(key, version, decision);
+  /// False if the decision is too large to cache.
+  bool insert(const RequestKey& key, std::uint64_t version, const core::Decision& decision) {
+    return store_.insert(key, version, decision);
   }
 
   /// Version sweep: drops every entry cached under a snapshot version
@@ -114,6 +118,7 @@ class DecisionCache {
 
   std::size_t size() const { return store_.size(); }
   common::Duration ttl() const { return store_.ttl(); }
+  const common::Clock* clock() const { return store_.clock(); }
 
   /// Registers the cache's counters (mdac_cache_*: the writer-side
   /// counters and size) with a metrics registry; returns the collector
@@ -124,77 +129,10 @@ class DecisionCache {
   SeqlockDecisionCache store_;
 };
 
-/// The per-worker L1: a bounded LRU with ZERO synchronisation. Each
-/// engine worker owns one, allocated on the worker thread itself at
-/// startup (first-touch places it on the worker's NUMA node). All
-/// entries are keyed under the single snapshot version the worker has
-/// adopted; `flush()` — called on adoption — drops them wholesale, which
-/// is both the correctness story (a worker can never L1-hit a decision
-/// from a version it no longer serves) and the memory bound (no dead
-/// versions linger). Hits splice within the LRU list: no allocation on
-/// the hot path.
-class WorkerL1Cache {
- public:
-  explicit WorkerL1Cache(std::size_t capacity = 256)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  /// Returns the cached decision or nullptr. A `version` different from
-  /// the one the entries were cached under misses (callers flush on
-  /// adoption, so in the engine this only happens transiently).
-  const core::Decision* lookup(const RequestKey& key, std::uint64_t version) {
-    if (version != version_) return nullptr;
-    const auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return &it->second->second;
-  }
-
-  void insert(const RequestKey& key, std::uint64_t version, core::Decision decision) {
-    if (version != version_) flush_to(version);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      it->second->second = std::move(decision);
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return;
-    }
-    if (map_.size() >= capacity_ && !lru_.empty()) {
-      map_.erase(lru_.back().first);
-      lru_.pop_back();
-      ++evictions_;
-    }
-    lru_.emplace_front(key, std::move(decision));
-    map_.emplace(key, lru_.begin());
-  }
-
-  /// Drops everything (snapshot adoption).
-  void flush() { flush_to(version_); }
-
-  std::size_t size() const { return map_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t flushes() const { return flushes_; }
-  std::uint64_t evictions() const { return evictions_; }
-
- private:
-  void flush_to(std::uint64_t version) {
-    if (!map_.empty()) ++flushes_;
-    map_.clear();
-    lru_.clear();
-    version_ = version;
-  }
-
-  std::size_t capacity_;
-  std::uint64_t version_ = 0;
-  std::uint64_t flushes_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::list<std::pair<RequestKey, core::Decision>> lru_;
-  std::unordered_map<RequestKey, std::list<std::pair<RequestKey, core::Decision>>::iterator>
-      map_;
-};
-
 /// Wraps an evaluation function with the cache: the shape a PEP uses.
 /// Single-level: a PEP's threads are not the engine's workers; they have
-/// no worker-local state to hang an L1 off, and no snapshot-version
-/// stream to flush it on, so they probe the shared slot table directly.
+/// no worker-local state to hang an L1 off, so they probe the shared slot
+/// table directly.
 class CachingEvaluator {
  public:
   using Evaluate = std::function<core::Decision(const core::RequestContext&)>;

@@ -199,10 +199,11 @@ bool decode_decision(const std::uint8_t* data, std::size_t len, core::Decision& 
 }
 
 // ---------------------------------------------------------------------
-// SeqlockDecisionCache
+// DecisionSlotTable
 // ---------------------------------------------------------------------
 
-SeqlockDecisionCache::SeqlockDecisionCache(std::size_t capacity, common::Duration ttl,
+template <class Lock>
+DecisionSlotTable<Lock>::DecisionSlotTable(std::size_t capacity, common::Duration ttl,
                                            const common::Clock* clock)
     : ttl_(ttl), clock_(clock) {
   if (ttl < 0 || (ttl > 0 && clock == nullptr)) {
@@ -217,7 +218,8 @@ SeqlockDecisionCache::SeqlockDecisionCache(std::size_t capacity, common::Duratio
   shards_ = std::make_unique<WriteShard[]>(shards);
 }
 
-std::uint64_t SeqlockDecisionCache::slot_hash(const RequestKey& key, std::uint64_t version) {
+template <class Lock>
+std::uint64_t DecisionSlotTable<Lock>::slot_hash(const RequestKey& key, std::uint64_t version) {
   std::uint64_t h = key.lo ^ (key.hi * 0x9E3779B97F4A7C15ULL) ^
                     ((version + 1) * 0xFF51AFD7ED558CCDULL);
   h ^= h >> 33;
@@ -226,13 +228,16 @@ std::uint64_t SeqlockDecisionCache::slot_hash(const RequestKey& key, std::uint64
   return h;
 }
 
-std::uint64_t SeqlockDecisionCache::expiry_now() const {
+template <class Lock>
+std::uint64_t DecisionSlotTable<Lock>::expiry_now() const {
   if (ttl_ == 0) return 0;
   return static_cast<std::uint64_t>(std::max<common::TimePoint>(clock_->now(), 0));
 }
 
-bool SeqlockDecisionCache::lookup(const RequestKey& key, std::uint64_t version,
-                                  core::Decision& out, std::uint64_t* retries) const {
+template <class Lock>
+bool DecisionSlotTable<Lock>::lookup(const RequestKey& key, std::uint64_t version,
+                                     core::Decision& out, std::uint64_t* retries,
+                                     std::uint64_t* expires_at) const {
   const std::size_t bucket = static_cast<std::size_t>(slot_hash(key, version)) & bucket_mask_;
   const std::uint64_t now = expiry_now();
   std::uint64_t local_retries = 0;
@@ -279,6 +284,7 @@ bool SeqlockDecisionCache::lookup(const RequestKey& key, std::uint64_t version,
       if (!decode_decision(reinterpret_cast<const std::uint8_t*>(buf), len, out)) {
         break;  // cannot happen for slots we wrote; treat as a miss
       }
+      if (expires_at != nullptr) *expires_at = meta >> 8;
       hit = true;
       break;
     }
@@ -287,8 +293,9 @@ bool SeqlockDecisionCache::lookup(const RequestKey& key, std::uint64_t version,
   return hit;
 }
 
-bool SeqlockDecisionCache::insert(const RequestKey& key, std::uint64_t version,
-                                  const core::Decision& d) {
+template <class Lock>
+bool DecisionSlotTable<Lock>::insert(const RequestKey& key, std::uint64_t version,
+                                     const core::Decision& d, std::uint64_t expires_at) {
   std::uint8_t buf[kMaxEncodedBytes];
   const auto encoded = encode_decision(d, buf, sizeof buf);
   const std::size_t bucket = static_cast<std::size_t>(slot_hash(key, version)) & bucket_mask_;
@@ -308,7 +315,8 @@ bool SeqlockDecisionCache::insert(const RequestKey& key, std::uint64_t version,
   for (std::size_t way = 0; way < kWays && existing == nullptr; ++way) {
     Slot& s = slots_[bucket * kWays + way];
     // Relaxed loads are exact here: all writes to this bucket happen
-    // under the shard mutex we hold.
+    // under the shard lock we hold (or on the one thread that owns the
+    // table).
     const std::uint64_t meta = s.meta.load(std::memory_order_relaxed);
     if (meta == 0) {
       if (empty == nullptr) empty = &s;
@@ -325,10 +333,12 @@ bool SeqlockDecisionCache::insert(const RequestKey& key, std::uint64_t version,
                  : expired != nullptr
                      ? expired
                      : &slots_[bucket * kWays + (ws.victim_counter++ % kWays)];
-  const std::uint64_t expires_at =
-      ttl_ == 0 ? 0
-                : std::clamp<std::uint64_t>(now + static_cast<std::uint64_t>(ttl_), 1,
-                                            kMaxExpiry);
+  if (expires_at == kExpiryFromTtl) {
+    expires_at = ttl_ == 0 ? 0
+                           : std::clamp<std::uint64_t>(now + static_cast<std::uint64_t>(ttl_),
+                                                       1, kMaxExpiry);
+  }
+  expires_at = std::min(expires_at, kMaxExpiry);
 
   const std::uint64_t s0 = target->seq.load(std::memory_order_relaxed);
   target->seq.store(s0 + 1, std::memory_order_relaxed);  // odd: write begins
@@ -362,7 +372,8 @@ bool SeqlockDecisionCache::insert(const RequestKey& key, std::uint64_t version,
   return true;
 }
 
-void SeqlockDecisionCache::clear_slot(Slot& slot) {
+template <class Lock>
+void DecisionSlotTable<Lock>::clear_slot(Slot& slot) {
   // Same write protocol as insert; seq stays monotonic (never back to 0)
   // so a concurrent reader can never pair a pre-clear s1 with a
   // post-refill s2 of equal value (the ABA a seq reset would reopen).
@@ -375,7 +386,8 @@ void SeqlockDecisionCache::clear_slot(Slot& slot) {
   slot.seq.store(s0 + 2, std::memory_order_release);
 }
 
-std::size_t SeqlockDecisionCache::evict_older_than(std::uint64_t version) {
+template <class Lock>
+std::size_t DecisionSlotTable<Lock>::evict_older_than(std::uint64_t version) {
   std::size_t removed = 0;
   const std::size_t shards = shard_mask_ + 1;
   for (std::size_t si = 0; si < shards; ++si) {
@@ -396,7 +408,8 @@ std::size_t SeqlockDecisionCache::evict_older_than(std::uint64_t version) {
   return removed;
 }
 
-std::size_t SeqlockDecisionCache::clear() {
+template <class Lock>
+std::size_t DecisionSlotTable<Lock>::clear() {
   std::size_t removed = 0;
   const std::size_t shards = shard_mask_ + 1;
   for (std::size_t si = 0; si < shards; ++si) {
@@ -416,7 +429,8 @@ std::size_t SeqlockDecisionCache::clear() {
   return removed;
 }
 
-SeqlockCacheStats SeqlockDecisionCache::stats() const {
+template <class Lock>
+SeqlockCacheStats DecisionSlotTable<Lock>::stats() const {
   SeqlockCacheStats total;
   const std::size_t shards = shard_mask_ + 1;
   for (std::size_t si = 0; si < shards; ++si) {
@@ -427,7 +441,8 @@ SeqlockCacheStats SeqlockDecisionCache::stats() const {
   return total;
 }
 
-std::size_t SeqlockDecisionCache::size() const {
+template <class Lock>
+std::size_t DecisionSlotTable<Lock>::size() const {
   std::size_t total = 0;
   const std::size_t shards = shard_mask_ + 1;
   for (std::size_t si = 0; si < shards; ++si) {
@@ -437,5 +452,8 @@ std::size_t SeqlockDecisionCache::size() const {
   }
   return total;
 }
+
+template class DecisionSlotTable<std::mutex>;
+template class DecisionSlotTable<NoLock>;
 
 }  // namespace mdac::cache

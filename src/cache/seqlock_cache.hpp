@@ -1,6 +1,14 @@
-// Seqlock-slot decision cache: the one decision store (ARCHITECTURE.md
-// §"The decision cache"). The engine fronts it with per-worker L1s;
-// PEP-side callers (CachingEvaluator) probe it directly.
+// The decision slot table: the one decision-cache implementation
+// (ARCHITECTURE.md §"The two-level decision cache"). Two instantiations
+// share every line of it — the layout, the codec, the seqlock reader,
+// the slot choice, expiry and the version sweep — and differ only in the
+// lock a writer takes:
+//
+//   * SeqlockDecisionCache (std::mutex): the shared L2. The engine's
+//     workers and PEP-side callers (CachingEvaluator) probe it directly.
+//   * WorkerDecisionCache (NoLock): an engine worker's private L1. One
+//     thread owns it, so writes need no mutual exclusion and hits and
+//     fills take no lock.
 //
 // A decision cache exists because a few fingerprints absorb most
 // traffic, so a lock on the hit path would serialise exactly the hot
@@ -9,7 +17,7 @@
 //   reader   s1 = seq.load(acquire)           // odd ⇒ writer active ⇒ retry
 //            key/meta/payload loads (acquire)
 //            s2 = seq.load(relaxed)           // s1 != s2 ⇒ torn ⇒ retry
-//   writer   (under per-shard mutex, so writers never race each other)
+//   writer   (under per-shard lock, so writers never race each other)
 //            seq.store(s+1)                   // odd: readers back off
 //            key/meta/payload stores (release)
 //            seq.store(s+2, release)          // even: publish
@@ -24,24 +32,28 @@
 // semantics) cannot return s1, and the reader retries. The sequence
 // counter is 64-bit and strictly monotonic (slots are cleared by writing
 // zeroed keys, never by resetting seq), so s1 == s2 can never be an ABA
-// false positive.
+// false positive. A private table never sees a concurrent writer, so
+// its reads never retry; on x86 the acquire loads and release stores
+// are plain moves.
 //
 // Decisions are stored *inline* as a compact binary encoding packed into
 // the slot's atomic words — no pointers, so there is no reclamation race
-// between sequence validation and dereference. Decisions that encode to
-// more than kMaxEncodedBytes are simply not cached (the evaluator
-// recomputes them); the hot permit/deny + stamp-obligation shapes fit
-// with room to spare.
+// between sequence validation and dereference, and no allocation on a
+// fill. Decisions that encode to more than kMaxEncodedBytes are simply
+// not cached (the evaluator recomputes them); the hot permit/deny +
+// stamp-obligation shapes fit with room to spare.
 //
 // Staleness is bounded two ways (paper §3.2 warns that a stale entry is
 // a false permit or a false deny):
 //   * Keys are (request fingerprint, snapshot version): republication
 //     implicitly invalidates, and `evict_older_than` reclaims the slots
-//     of withdrawn versions. This is all the engine uses.
-//   * An optional TTL for callers with no version stream (the PEP side):
-//     each slot's meta word carries its expiry, and a lookup treats an
-//     expired slot as a miss. The clock is read once per lookup/insert,
-//     and only when a TTL is set.
+//     of withdrawn versions.
+//   * An optional TTL: each slot's meta word carries its expiry, and a
+//     lookup treats an expired slot as a miss. The clock is read once
+//     per lookup/insert, and only when a TTL is set. A hit reports its
+//     slot's expiry, so an entry copied into another table (an L2 hit
+//     promoted into a worker's L1) keeps the expiry it was given when it
+//     was evaluated.
 //
 // Reader-side hit/miss/retry counters are deliberately NOT kept here —
 // shared atomics on the read path would reintroduce the cache-line
@@ -74,7 +86,7 @@ std::optional<std::size_t> encode_decision(const core::Decision& d,
 /// malformed/truncated input (the decision is left unspecified).
 bool decode_decision(const std::uint8_t* data, std::size_t len, core::Decision& out);
 
-/// Writer-side counters. Maintained under the shard write mutexes, so
+/// Writer-side counters. Maintained under the shard write locks, so
 /// they are exact; aggregated on demand by stats().
 struct SeqlockCacheStats {
   std::uint64_t inserts = 0;            // new entries written
@@ -97,7 +109,17 @@ struct SeqlockCacheStats {
   }
 };
 
-class SeqlockDecisionCache {
+/// The writer lock of a table that one thread owns: does nothing.
+struct NoLock {
+  void lock() {}
+  void unlock() {}
+};
+
+/// `Lock` serialises writers (std::mutex) or, for a table one thread
+/// owns, is NoLock. Readers never take it. Instantiated for exactly
+/// those two in seqlock_cache.cpp.
+template <class Lock>
+class DecisionSlotTable {
  public:
   // Slot layout: 5 header words + 11 payload words = 128 bytes, two cache
   // lines, so a hit touches at most two lines and slots never share a
@@ -105,6 +127,8 @@ class SeqlockDecisionCache {
   static constexpr std::size_t kPayloadWords = 11;
   static constexpr std::size_t kMaxEncodedBytes = kPayloadWords * 8;  // 88
   static constexpr std::size_t kWays = 4;  // set-associative bucket width
+  /// insert()'s default expiry: the table's TTL from now.
+  static constexpr std::uint64_t kExpiryFromTtl = ~std::uint64_t{0};
 
   /// `capacity` is the total slot budget; rounded up so the bucket count
   /// is a power of two (minimum one bucket of kWays slots). Storage is
@@ -115,31 +139,38 @@ class SeqlockDecisionCache {
   /// `ttl` == 0 means entries never expire and no clock is read.
   /// Throws std::invalid_argument for a negative ttl, or a positive one
   /// without a clock.
-  explicit SeqlockDecisionCache(std::size_t capacity = 4096, common::Duration ttl = 0,
-                                const common::Clock* clock = nullptr);
+  explicit DecisionSlotTable(std::size_t capacity = 4096, common::Duration ttl = 0,
+                             const common::Clock* clock = nullptr);
 
-  SeqlockDecisionCache(const SeqlockDecisionCache&) = delete;
-  SeqlockDecisionCache& operator=(const SeqlockDecisionCache&) = delete;
+  DecisionSlotTable(const DecisionSlotTable&) = delete;
+  DecisionSlotTable& operator=(const DecisionSlotTable&) = delete;
 
   /// Lock-free lookup. On a hit decodes into `out` and returns true; an
-  /// expired slot is a miss. If
-  /// `retries` is non-null, the number of seqlock re-reads performed is
-  /// *added* to it (callers keep per-worker tallies). A slot being
-  /// rewritten more than kMaxReadAttempts times in a row is treated as a
-  /// miss — a livelock bound, not an error.
+  /// expired slot is a miss. If `retries` is non-null, the number of
+  /// seqlock re-reads performed is *added* to it (callers keep
+  /// per-worker tallies). If `expires_at` is non-null, a hit stores the
+  /// slot's expiry there (clock ms, 0 = never) — what a promotion into
+  /// another table passes to insert(). A slot being rewritten more than
+  /// kMaxReadAttempts times in a row is treated as a miss — a livelock
+  /// bound, not an error.
   bool lookup(const RequestKey& key, std::uint64_t version, core::Decision& out,
-              std::uint64_t* retries = nullptr) const;
+              std::uint64_t* retries = nullptr, std::uint64_t* expires_at = nullptr) const;
 
-  /// Inserts (or refreshes, restarting its TTL) a decision. Takes the
-  /// bucket's shard write mutex; readers are never blocked. Slot choice:
-  /// the same (key, version), else an empty slot, else an expired one,
-  /// else a round-robin victim. Returns false if the decision is too
-  /// large to inline (not cached).
-  bool insert(const RequestKey& key, std::uint64_t version, const core::Decision& d);
+  /// Inserts (or refreshes) a decision. `expires_at` = kExpiryFromTtl
+  /// gives it the table's TTL from now (restarting it on a refresh);
+  /// any other value is stored as its expiry (clock ms, 0 = never).
+  /// Takes the bucket's shard write lock; readers are never blocked.
+  /// Slot choice: the same (key, version), else an empty slot, else an
+  /// expired one, else a round-robin victim. Returns false if the
+  /// decision is too large to inline (not cached).
+  bool insert(const RequestKey& key, std::uint64_t version, const core::Decision& d,
+              std::uint64_t expires_at = kExpiryFromTtl);
 
   /// Reclaims every slot whose snapshot version is < `version`; returns
-  /// the number of slots cleared. Called by the engine on snapshot
-  /// adoption with the minimum version any worker still serves.
+  /// the number of slots cleared. The engine calls it on snapshot
+  /// adoption: on the shared table with the minimum version any worker
+  /// still serves, on a worker's private table with the version it
+  /// adopted.
   std::size_t evict_older_than(std::uint64_t version);
 
   /// Drops everything (tests / explicit policy-change notification).
@@ -151,6 +182,7 @@ class SeqlockDecisionCache {
   /// until an insert reuses their slot.
   std::size_t size() const;
   common::Duration ttl() const { return ttl_; }
+  const common::Clock* clock() const { return clock_; }
 
  private:
   static constexpr std::size_t kMaxReadAttempts = 64;
@@ -180,11 +212,11 @@ class SeqlockDecisionCache {
     return expires_at != 0 && now >= expires_at;
   }
   /// The clock reading expiry is checked against; 0 (no clock read)
-  /// when the cache has no TTL, since then no slot carries an expiry.
+  /// when the table has no TTL, since then no slot carries an expiry.
   std::uint64_t expiry_now() const;
 
   struct alignas(64) WriteShard {
-    std::mutex mutex;
+    Lock mutex;
     std::uint64_t victim_counter = 0;  // round-robin victim pick
     std::uint64_t occupied = 0;
     SeqlockCacheStats stats;
@@ -205,5 +237,13 @@ class SeqlockDecisionCache {
   std::unique_ptr<Slot[]> slots_;
   mutable std::unique_ptr<WriteShard[]> shards_;
 };
+
+extern template class DecisionSlotTable<std::mutex>;
+extern template class DecisionSlotTable<NoLock>;
+
+/// The shared L2: writers lock one of up to 16 shards.
+using SeqlockDecisionCache = DecisionSlotTable<std::mutex>;
+/// An engine worker's private L1: one thread reads and writes it.
+using WorkerDecisionCache = DecisionSlotTable<NoLock>;
 
 }  // namespace mdac::cache

@@ -211,7 +211,12 @@ void Pdp::rebuild_index() {
 
 void Pdp::probe_partition(const Partition& partition, const RequestContext& request) {
   const std::uint64_t epoch = select_epoch_;
-  for (const std::uint32_t i : partition.residual) selected_stamp_[i] = epoch;
+  const auto select = [&](std::uint32_t i) {
+    if (selected_stamp_[i] == epoch) return;
+    selected_stamp_[i] = epoch;
+    selected_.push_back(i);
+  };
+  for (const std::uint32_t i : partition.residual) select(i);
 
   for (const IndexEntry& entry : partition.entries) {
     const Bag* bag = request.get(entry.category, entry.attribute_id);
@@ -220,7 +225,7 @@ void Pdp::probe_partition(const Partition& partition, const RequestContext& requ
       if (!v.is_string()) continue;
       const auto it = entry.by_value.find(std::string_view(v.as_string()));
       if (it == entry.by_value.end()) continue;
-      for (const std::uint32_t i : it->second) selected_stamp_[i] = epoch;
+      for (const std::uint32_t i : it->second) select(i);
     }
   }
 }
@@ -228,6 +233,7 @@ void Pdp::probe_partition(const Partition& partition, const RequestContext& requ
 void Pdp::select_candidates(const RequestContext& request, std::size_t* skipped,
                             std::size_t* partitions_probed) {
   ++select_epoch_;
+  selected_.clear();
 
   probe_partition(global_, request);
 
@@ -262,17 +268,15 @@ void Pdp::select_candidates(const RequestContext& request, std::size_t* skipped,
   partition_probes_ += probed;
   if (partitions_probed != nullptr) *partitions_probed = probed;
 
-  children_.clear();
-  std::size_t skip_count = 0;
-  const std::uint64_t epoch = select_epoch_;
-  for (std::size_t i = 0; i < ordered_nodes_.size(); ++i) {
-    if (selected_stamp_[i] == epoch) {
-      children_.push_back(&combinables_[i]);
-    } else {
-      ++skip_count;
-    }
+  // Document order, which the combining algorithms depend on. Each probe
+  // list is in document order, so one list alone (every node residual,
+  // as with the index off) needs no sort.
+  if (!std::is_sorted(selected_.begin(), selected_.end())) {
+    std::sort(selected_.begin(), selected_.end());
   }
-  if (skipped != nullptr) *skipped = skip_count;
+  children_.clear();
+  for (const std::uint32_t i : selected_) children_.push_back(&combinables_[i]);
+  if (skipped != nullptr) *skipped = ordered_nodes_.size() - selected_.size();
 }
 
 Decision Pdp::evaluate(const RequestContext& request) {

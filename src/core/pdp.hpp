@@ -238,10 +238,12 @@ class Pdp {
 
   // Reusable selection scratch: selected_stamp_[i] == select_epoch_ marks
   // node i selected for the current request; bumping the epoch clears the
-  // whole bitmap in O(1). children_ holds pointers into combinables_, so
-  // selection copies nothing.
+  // whole bitmap in O(1). selected_ lists each node the first time it is
+  // stamped, so selection costs O(candidates), not O(nodes). children_
+  // holds pointers into combinables_, so selection copies nothing.
   std::vector<std::uint64_t> selected_stamp_;
   std::uint64_t select_epoch_ = 0;
+  std::vector<std::uint32_t> selected_;
   std::vector<const Combinable*> children_;
   /// True while combine() runs over children_. An AttributeResolver may
   /// re-enter this Pdp (resolver -> evaluate); the nested frame must not

@@ -2,8 +2,7 @@
 
 #include <bit>
 #include <cmath>
-#include <optional>
-#include <stdexcept>
+#include <exception>
 #include <string>
 
 #ifdef __linux__
@@ -225,11 +224,6 @@ DecisionEngine::DecisionEngine(SnapshotPublisher& publisher, EngineConfig config
       cache_(cache),
       metrics_(std::max<std::size_t>(1, config.workers),
                std::max<std::size_t>(1, config.queue_capacity)) {
-  if (cache_ != nullptr && cache_->ttl() > 0) {
-    throw std::invalid_argument(
-        "DecisionEngine: the shared cache must not have a ttl (entries are "
-        "version-scoped, and a worker's L1 cannot honour an expiry)");
-  }
   config_.workers = std::max<std::size_t>(1, config_.workers);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
   config_.max_batch = std::max<std::size_t>(1, config_.max_batch);
@@ -510,10 +504,9 @@ void DecisionEngine::adopt_snapshot(std::size_t index, Worker& worker) {
   if (config_.resolver != nullptr) worker.pdp->set_resolver(config_.resolver);
   if (config_.functions != nullptr) worker.pdp->set_functions(config_.functions);
   metrics_.record_adoption();
-  // The L1's entries all carry the replaced version — drop them now
-  // (rather than letting version-mismatch lookups age them out) so the
-  // memory is reclaimed at the adoption edge.
-  worker.l1.flush();
+  // The L1's entries all carry the replaced version: free their slots
+  // now rather than waiting for fills to displace them.
+  if (worker.l1) worker.l1->evict_older_than(worker.snapshot->version());
   // Publish this worker's new floor, then sweep the shared cache up to
   // the *minimum* adopted version: entries under versions no worker
   // serves any more are unreachable and only waste slots.
@@ -616,10 +609,10 @@ void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
   // adoption-time sweep reclaims it) instead of serving decisions from
   // withdrawn policy — the "every decision is consistent with exactly
   // one snapshot" model extends to cache hits, with no invalidation
-  // stampede on publish. The worker's private L1 is probed first (zero
-  // synchronisation), then the shared store; an L2 hit is promoted into
-  // the L1.
-  const bool use_l1 = cache_ != nullptr && worker.l1_enabled;
+  // stampede on publish. The worker's private L1 is probed first (no
+  // lock, no allocation), then the shared store; an L2 hit is promoted
+  // into the L1 with the expiry it has in the L2.
+  cache::WorkerDecisionCache* const l1 = worker.l1 ? &*worker.l1 : nullptr;
 
   worker.requests.clear();
   worker.pending.clear();
@@ -639,31 +632,22 @@ void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
     }
     if (cache_ != nullptr && worker.snapshot != nullptr) {
       const cache::RequestKey key = cache::fingerprint(job.request);
-      std::optional<core::Decision> hit;
-      std::uint8_t level = 1;
+      EngineResult r;
       std::uint64_t retries = 0;
-      if (use_l1) {
-        if (const core::Decision* local = worker.l1.lookup(key, version)) hit = *local;
-      }
-      if (!hit) {
-        level = 2;
-        hit = cache_->lookup(key, version, &retries);
-        if (hit && use_l1) worker.l1.insert(key, version, *hit);
+      std::uint64_t expires_at = 0;
+      if (l1 != nullptr && l1->lookup(key, version, r.decision)) {
+        r.cache_level = 1;
+        metrics_.record_l1_hit(index);
+      } else if (cache_->lookup(key, version, r.decision, &retries, &expires_at)) {
+        r.cache_level = 2;
+        metrics_.record_l2_hit(index, retries);
+        if (l1 != nullptr) l1->insert(key, version, r.decision, expires_at);
       }
       // Span a = level served (0 = miss), b = seqlock retries.
-      record_span(job.trace.get(), obs::SpanKind::kCacheProbe, 0, hit ? level : 0,
-                  retries);
-      if (hit) {
-        if (level == 1) {
-          metrics_.record_l1_hit(index);
-        } else {
-          metrics_.record_l2_hit(index, retries);
-        }
-        EngineResult r;
-        r.decision = std::move(*hit);
+      record_span(job.trace.get(), obs::SpanKind::kCacheProbe, 0, r.cache_level, retries);
+      if (r.cache_level != 0) {
         r.snapshot_version = version;
         r.cache_hit = true;
-        r.cache_level = level;
         complete(job, std::move(r), worker_id);
         continue;
       }
@@ -735,9 +719,11 @@ void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
         results[i].metrics.resolver_calls == 0) {
       // pending_keys[i] was filled alongside pending[i] (cache_ non-null
       // implies the lookup path ran): the fingerprint is computed once
-      // per request, shared by the probe and both fills.
-      cache_->insert(worker.pending_keys[i], version, r.decision);
-      if (use_l1) worker.l1.insert(worker.pending_keys[i], version, r.decision);
+      // per request, shared by the probe and both fills. A decision too
+      // large for an L2 slot is too large for an L1 slot.
+      if (cache_->insert(worker.pending_keys[i], version, r.decision) && l1 != nullptr) {
+        l1->insert(worker.pending_keys[i], version, r.decision);
+      }
     }
     complete(evaluated, std::move(r), worker_id);
   }
@@ -774,7 +760,10 @@ void DecisionEngine::worker_loop(std::size_t index) {
       pinned_workers_.fetch_add(1, std::memory_order_acq_rel);
     }
   }
-  Worker worker(config_.l1_capacity);
+  Worker worker;
+  if (cache_ != nullptr && config_.l1_capacity > 0) {
+    worker.l1.emplace(config_.l1_capacity, cache_->ttl(), cache_->clock());
+  }
   worker.jobs.reserve(config_.max_batch);
   while (pop_batch(index, worker)) {
     process_batch(index, worker);

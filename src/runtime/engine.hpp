@@ -36,16 +36,18 @@
 // complete without touching a Pdp, misses are filled with definitive
 // decisions. Entries are keyed by (request fingerprint, snapshot
 // version), so policy republication implicitly invalidates. Each worker
-// fronts the shared seqlock table (lock-free reads) with a private
-// zero-synchronisation L1 (cache::WorkerL1Cache), allocated on the
-// worker thread at startup (first-touch) and flushed at snapshot
-// adoption (see ARCHITECTURE.md §"The two-level decision cache"). The
-// L1 cannot honour an expiry, so the engine refuses a cache with a TTL.
+// fronts the shared seqlock table (lock-free reads) with a private L1:
+// the same slot table with a no-op writer lock
+// (cache::WorkerDecisionCache), built with the shared cache's TTL and
+// clock and allocated on the worker thread at startup (first-touch).
+// An L2 hit promoted into the L1 keeps its L2 expiry, so no entry
+// outlives its TTL counted from its evaluation (see ARCHITECTURE.md
+// §"The two-level decision cache").
 //
-// The engine sweeps entries of withdrawn versions on snapshot adoption
-// (DecisionCache::evict_older_than with the minimum version any worker
-// still serves), so long-running engines don't accumulate unreachable
-// entries.
+// On snapshot adoption a worker sweeps its L1 of the replaced version,
+// and the shared cache is swept of every version older than the minimum
+// any worker still serves (DecisionCache::evict_older_than), so
+// long-running engines don't accumulate unreachable entries.
 //
 // Admission and the slot ring. Submitters and workers share four
 // lock-free pieces:
@@ -139,6 +141,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -366,8 +369,9 @@ struct EngineConfig {
   /// cores than workers (oversubscribed workers must stay migratable);
   /// `DecisionEngine::workers_pinned()` reports what actually stuck.
   bool pin_workers = false;
-  /// Per-worker L1 capacity (entries) in front of the shared cache; 0
-  /// disables the L1 (L2-only).
+  /// Per-worker L1 capacity (slots) in front of the shared cache,
+  /// rounded up like the shared cache's capacity (to a power-of-two
+  /// number of 4-way buckets); 0 disables the L1 (L2-only).
   std::size_t l1_capacity = 256;
   /// Optional decision tracer (not owned; must outlive the engine).
   /// When set, every submission is assigned a trace id
@@ -391,8 +395,7 @@ class DecisionEngine {
   /// (requests submitted before the first publish are answered
   /// Indeterminate{DP} kNoSnapshotMessage — fail-safe, not a crash).
   /// `cache`, if given, is shared across all workers and must outlive
-  /// the engine. Throws std::invalid_argument if it has a TTL: entries
-  /// are version-scoped here, and a worker's L1 cannot honour an expiry.
+  /// the engine; a TTL it has bounds both cache levels.
   explicit DecisionEngine(SnapshotPublisher& publisher, EngineConfig config = {},
                           cache::DecisionCache* cache = nullptr);
 
@@ -476,18 +479,15 @@ class DecisionEngine {
   };
 
   /// One worker's execution state: the adopted snapshot and the private
-  /// Pdp replica bound to it, plus reusable batch scratch and the
-  /// zero-synchronisation L1. Constructed inside worker_loop — on the
-  /// worker's own thread — so first-touch places all of it on the
-  /// worker's NUMA node when pinning is on.
+  /// Pdp replica bound to it, plus reusable batch scratch and the private
+  /// L1. Constructed inside worker_loop — on the worker's own thread — so
+  /// first-touch places all of it on the worker's NUMA node when pinning
+  /// is on.
   struct Worker {
-    explicit Worker(std::size_t l1_capacity)
-        : l1(l1_capacity == 0 ? 1 : l1_capacity), l1_enabled(l1_capacity > 0) {}
-
     std::shared_ptr<const PolicySnapshot> snapshot;
     std::unique_ptr<core::Pdp> pdp;
-    cache::WorkerL1Cache l1;
-    bool l1_enabled;
+    /// Empty without a shared cache or with l1_capacity == 0.
+    std::optional<cache::WorkerDecisionCache> l1;
     std::vector<Job> jobs;
     std::vector<core::RequestContext> requests;  // contiguous, for evaluate_batch
     std::vector<std::size_t> pending;            // jobs[i] awaiting evaluation
@@ -536,7 +536,7 @@ class DecisionEngine {
   /// ring is empty; false = closed and drained, exit.
   bool pop_batch(std::size_t index, Worker& worker);
   /// Re-binds `worker` to the newest snapshot if it changed (the batch
-  /// boundary of the RCU scheme); flushes the worker's L1 and triggers
+  /// boundary of the RCU scheme); sweeps the worker's L1 and triggers
   /// the shared-cache version sweep on change.
   void adopt_snapshot(std::size_t index, Worker& worker);
   /// Sweeps shared-cache entries older than the minimum snapshot version

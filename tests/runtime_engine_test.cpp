@@ -340,6 +340,23 @@ TEST(DecisionEngineTest, WorkersShareTheDecisionCache) {
 // Two levels: per-worker L1 + shared seqlock L2
 // ---------------------------------------------------------------------
 
+/// Five distinct role-0 reads (res-1..res-5) that `store` decides
+/// definitively, so the engine caches each of them.
+std::vector<core::RequestContext> five_cacheable_reads(
+    const std::shared_ptr<core::PolicyStore>& store) {
+  core::Pdp reference(store);
+  std::vector<core::RequestContext> requests;
+  for (int i = 1; i <= 5; ++i) {
+    core::RequestContext r =
+        core::RequestContext::make("u", "res-" + std::to_string(i), "read");
+    r.add(core::Category::kSubject, core::attrs::kRole, core::AttributeValue("role-0"));
+    const core::Decision d = reference.evaluate(r);
+    EXPECT_TRUE(d.is_permit() || d.is_deny());
+    requests.push_back(std::move(r));
+  }
+  return requests;
+}
+
 TEST(DecisionEngineTest, TwoLevelCacheServesHitsFromBothLevels) {
   cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 1024});
 
@@ -347,24 +364,18 @@ TEST(DecisionEngineTest, TwoLevelCacheServesHitsFromBothLevels) {
   auto store = bench::make_policy_store(8);
   core::Pdp reference(store);
   publisher.publish(store);
-  // One worker with a one-entry L1 makes every hit's level
-  // deterministic: a repeat hits the L1, a request the L1 just evicted
-  // hits the L2 and is promoted back.
+  // One worker with the smallest L1, one 4-way bucket, makes every hit's
+  // level deterministic: a repeat hits the L1, the fifth distinct key
+  // evicts the first (round-robin victim), and that key then hits the L2
+  // and is promoted back.
   EngineConfig config;
   config.workers = 1;
   config.l1_capacity = 1;
   DecisionEngine engine(publisher, config, &cache);
 
-  const auto request_for = [](const char* resource) {
-    core::RequestContext r = core::RequestContext::make("u", resource, "read");
-    r.add(core::Category::kSubject, core::attrs::kRole,
-          core::AttributeValue("role-0"));
-    return r;
-  };
-  const core::RequestContext a = request_for("res-1");
-  const core::RequestContext b = request_for("res-2");
+  const std::vector<core::RequestContext> requests = five_cacheable_reads(store);
+  const core::RequestContext& a = requests[0];
   const core::Decision expected_a = reference.evaluate(a);
-  ASSERT_TRUE(expected_a.is_permit());
 
   EngineResult r1 = engine.submit(a).get();  // miss: evaluated, L1 = {a}
   EXPECT_FALSE(r1.cache_hit);
@@ -373,8 +384,9 @@ TEST(DecisionEngineTest, TwoLevelCacheServesHitsFromBothLevels) {
   EXPECT_TRUE(r2.cache_hit);
   EXPECT_EQ(r2.cache_level, 1);
   EXPECT_EQ(r2.decision, expected_a);
-  EngineResult r3 = engine.submit(b).get();  // miss: L1 = {b}, a evicted
-  EXPECT_FALSE(r3.cache_hit);
+  for (std::size_t i = 1; i < requests.size(); ++i) {  // misses; the fifth evicts a
+    EXPECT_FALSE(engine.submit(requests[i]).get().cache_hit);
+  }
   EngineResult r4 = engine.submit(a).get();  // L1 miss -> shared L2 hit
   EXPECT_TRUE(r4.cache_hit);
   EXPECT_EQ(r4.cache_level, 2);
@@ -382,13 +394,14 @@ TEST(DecisionEngineTest, TwoLevelCacheServesHitsFromBothLevels) {
   EngineResult r5 = engine.submit(a).get();  // the L2 hit was promoted
   EXPECT_TRUE(r5.cache_hit);
   EXPECT_EQ(r5.cache_level, 1);
+  EXPECT_EQ(r5.decision, expected_a);
 
   engine.shutdown();
   const EngineMetrics::Snapshot m = engine.metrics();
   EXPECT_EQ(m.l1_hits, 2u);
   EXPECT_EQ(m.l2_hits, 1u);
   EXPECT_EQ(m.cache_hits, m.l1_hits + m.l2_hits);
-  EXPECT_EQ(m.cache_misses, 2u);
+  EXPECT_EQ(m.cache_misses, 5u);
 }
 
 TEST(DecisionEngineTest, CacheNeverServesDecisionsFromAReplacedSnapshot) {
@@ -457,14 +470,46 @@ TEST(DecisionEngineTest, VersionSweepReclaimsWithdrawnEntries) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(DecisionEngineTest, EngineRejectsCacheWithTtl) {
-  common::WallClock clock;
-  cache::DecisionCache cache(
-      cache::DecisionCache::TwoLevelConfig{.ttl = 1'000, .clock = &clock});
+TEST(DecisionEngineTest, CacheTtlBoundsBothLevels) {
+  // ManualClock is single-threaded by contract. Every advance here sits
+  // between one result's get() and the next submit, and those order it
+  // with each clock read on the worker.
+  common::ManualClock clock;
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{
+      .capacity = 1024, .ttl = 100, .clock = &clock});
   SnapshotPublisher publisher;
-  publisher.publish(bench::make_policy_store(2));
-  EXPECT_THROW(DecisionEngine(publisher, EngineConfig{.workers = 1}, &cache),
-               std::invalid_argument);
+  auto store = bench::make_policy_store(8);
+  publisher.publish(store);
+  EngineConfig config;
+  config.workers = 1;
+  config.l1_capacity = 4;  // one 4-way bucket
+  DecisionEngine engine(publisher, config, &cache);
+  const std::vector<core::RequestContext> requests = five_cacheable_reads(store);
+  const core::RequestContext& a = requests[0];
+  const auto level_of = [&engine](const core::RequestContext& request) {
+    const EngineResult r = engine.submit(request).get();
+    EXPECT_TRUE(r.decided());
+    return static_cast<int>(r.cache_level);
+  };
+
+  // An entry is served from the L1 until its TTL has passed, then
+  // evaluated again.
+  EXPECT_EQ(level_of(a), 0);  // t = 0: evaluated; both levels expire at 100
+  clock.advance(99);
+  EXPECT_EQ(level_of(a), 1);
+  clock.advance(1);
+  EXPECT_EQ(level_of(a), 0);  // t = 100: expired at both levels; now expires at 200
+
+  // An L2 hit promoted into an L1 that had evicted it keeps its L2 expiry.
+  clock.advance(50);  // t = 150
+  for (std::size_t i = 1; i < requests.size(); ++i) {
+    EXPECT_EQ(level_of(requests[i]), 0);  // the fourth fill evicts a from the L1
+  }
+  EXPECT_EQ(level_of(a), 2);  // promoted with expiry 200, not 150 + 100
+  clock.advance(49);
+  EXPECT_EQ(level_of(a), 1);  // t = 199
+  clock.advance(1);
+  EXPECT_EQ(level_of(a), 0);  // t = 200: a restarted TTL would still hit the L1
 }
 
 // ---------------------------------------------------------------------
@@ -598,6 +643,87 @@ TEST(DecisionEngineTest, HotAgentShapedRequestCopiesInOneAllocation) {
 // Completion path: storage goes back to the submitter; wakes hit idlers
 // ---------------------------------------------------------------------
 
+/// Heap traffic of the engine's workers while they serve cache hits.
+struct WorkerHeapTraffic {
+  std::uint64_t allocations = 0;
+  std::uint64_t deallocations = 0;
+  std::uint64_t counted = 0;  // callbacks that closed a measured interval
+};
+
+/// Submits pool[order[i % order.size()]] for `warmup` and then `measured`
+/// requests through the callback form, at most 8 in flight, and sums the
+/// worker-thread allocations and deallocations between consecutive
+/// callbacks of the measured phase (each worker's first callback in a
+/// phase sets its baseline). Every request must be a cache hit.
+WorkerHeapTraffic measure_worker_heap_traffic(DecisionEngine& engine,
+                                              const std::vector<core::RequestContext>& pool,
+                                              const std::vector<std::size_t>& order,
+                                              std::size_t warmup, std::size_t measured) {
+  struct Probe {
+    std::atomic<std::uint32_t> phase{0};
+    std::atomic<std::uint64_t> allocations{0};
+    std::atomic<std::uint64_t> deallocations{0};
+    std::atomic<std::uint64_t> counted{0};
+    std::atomic<std::size_t> completed{0};
+  } probe;
+  const auto callback = [&probe](EngineResult result) {
+    static thread_local std::uint32_t seen_phase = 0;
+    static thread_local std::uint64_t last_allocations = 0;
+    static thread_local std::uint64_t last_deallocations = 0;
+    EXPECT_TRUE(result.cache_hit);
+    const std::uint32_t phase = probe.phase.load(std::memory_order_acquire);
+    const std::uint64_t allocations = test::thread_allocations();
+    const std::uint64_t deallocations = test::thread_deallocations();
+    if (phase == seen_phase) {
+      probe.allocations.fetch_add(allocations - last_allocations, std::memory_order_relaxed);
+      probe.deallocations.fetch_add(deallocations - last_deallocations,
+                                    std::memory_order_relaxed);
+      probe.counted.fetch_add(1, std::memory_order_relaxed);
+    }
+    seen_phase = phase;
+    last_allocations = allocations;
+    last_deallocations = deallocations;
+    probe.completed.fetch_add(1, std::memory_order_release);
+  };
+  // At most 8 in flight, far below the jobs the return ring holds
+  // (workers x max_batch): completions outrun reclaims by at most a few
+  // batches, so the ring never fills.
+  constexpr std::size_t kMaxInFlight = 8;
+  std::size_t next = 0;
+  const auto run = [&](std::size_t count) {
+    const std::size_t base = probe.completed.load();
+    for (std::size_t i = 0; i < count; ++i) {
+      while (base + i - probe.completed.load(std::memory_order_acquire) >= kMaxInFlight) {
+        std::this_thread::yield();
+      }
+      engine.submit(pool[order[next++ % order.size()]], callback);
+    }
+    while (probe.completed.load() < base + count) std::this_thread::yield();
+  };
+  probe.phase.store(1);
+  run(warmup);
+  probe.allocations.store(0);
+  probe.deallocations.store(0);
+  probe.counted.store(0);
+  probe.phase.store(2);
+  run(measured);
+  return {probe.allocations.load(), probe.deallocations.load(), probe.counted.load()};
+}
+
+/// `count` requests over make_policy_store(8) that it decides
+/// definitively (those are the cacheable ones), drawn with `seed`.
+std::vector<core::RequestContext> definitive_pool(std::size_t count, std::uint64_t seed) {
+  core::Pdp reference(bench::make_policy_store(8));
+  common::Rng rng(seed);
+  std::vector<core::RequestContext> pool;
+  while (pool.size() < count) {
+    core::RequestContext request = bench::random_request(rng, 8, 3);
+    const core::Decision expected = reference.evaluate(request);
+    if (expected.is_permit() || expected.is_deny()) pool.push_back(std::move(request));
+  }
+  return pool;
+}
+
 TEST(DecisionEngineTest, WorkersFreeNoRequestStorageInSteadyState) {
   // A completed job travels back through the return ring and is freed by
   // a later submit on the submitting thread. Every measured request is a
@@ -606,17 +732,9 @@ TEST(DecisionEngineTest, WorkersFreeNoRequestStorageInSteadyState) {
   // One worker: with several, one preempted between claiming a return
   // slot and filling it holds up the ring's head while its peers fill the
   // ring, and they then free what does not fit (the designed fallback).
-  auto store = bench::make_policy_store(8);
-  core::Pdp reference(store);
-  common::Rng rng(9);
-  std::vector<core::RequestContext> pool;
-  while (pool.size() < 16) {  // definitive decisions only: those are cached
-    core::RequestContext request = bench::random_request(rng, 8, 3);
-    const core::Decision expected = reference.evaluate(request);
-    if (expected.is_permit() || expected.is_deny()) pool.push_back(std::move(request));
-  }
+  const std::vector<core::RequestContext> pool = definitive_pool(16, 9);
   SnapshotPublisher publisher;
-  publisher.publish(store);
+  publisher.publish(bench::make_policy_store(8));
   cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 1024});
   EngineConfig config;
   config.workers = 1;
@@ -626,53 +744,49 @@ TEST(DecisionEngineTest, WorkersFreeNoRequestStorageInSteadyState) {
   for (const core::RequestContext& request : pool) {
     ASSERT_TRUE(engine.submit(request).get().decided());  // fills the shared cache
   }
-
-  // Each callback reads its worker's deallocation count; the first one a
-  // worker runs in a phase sets that worker's baseline.
-  struct Probe {
-    std::atomic<std::uint32_t> phase{0};
-    std::atomic<std::uint64_t> worker_frees{0};
-    std::atomic<std::uint64_t> counted{0};
-    std::atomic<std::size_t> completed{0};
-  } probe;
-  const auto callback = [&probe](EngineResult result) {
-    static thread_local std::uint32_t seen_phase = 0;
-    static thread_local std::uint64_t last = 0;
-    EXPECT_TRUE(result.cache_hit);
-    const std::uint32_t phase = probe.phase.load(std::memory_order_acquire);
-    const std::uint64_t now = test::thread_deallocations();
-    if (phase == seen_phase) {
-      probe.worker_frees.fetch_add(now - last, std::memory_order_relaxed);
-      probe.counted.fetch_add(1, std::memory_order_relaxed);
-    }
-    seen_phase = phase;
-    last = now;
-    probe.completed.fetch_add(1, std::memory_order_release);
-  };
-  // At most 8 in flight, far below the 64 jobs the return ring holds
-  // (workers x max_batch): completions outrun reclaims by at most a few
-  // batches, so the ring never fills.
-  constexpr std::size_t kMaxInFlight = 8;
-  const auto run = [&](std::size_t count) {
-    const std::size_t base = probe.completed.load();
-    for (std::size_t i = 0; i < count; ++i) {
-      while (base + i - probe.completed.load(std::memory_order_acquire) >= kMaxInFlight) {
-        std::this_thread::yield();
-      }
-      engine.submit(pool[i % pool.size()], callback);
-    }
-    while (probe.completed.load() < base + count) std::this_thread::yield();
-  };
-  probe.phase.store(1);
-  run(2'000);  // warmup: every worker sets its baseline
-  probe.worker_frees.store(0);
-  probe.counted.store(0);
-  probe.phase.store(2);
-  run(20'000);
+  std::vector<std::size_t> order(pool.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  const WorkerHeapTraffic traffic =
+      measure_worker_heap_traffic(engine, pool, order, 2'000, 20'000);
   engine.shutdown();
 
-  EXPECT_GT(probe.counted.load(), 10'000u);
-  EXPECT_EQ(probe.worker_frees.load(), 0u);
+  EXPECT_GT(traffic.counted, 10'000u);
+  EXPECT_EQ(traffic.deallocations, 0u);
+}
+
+TEST(DecisionEngineTest, CachedRequestsMakeNoWorkerAllocations) {
+  // One worker; obligation-free decisions; a pool four times its L1
+  // (16 slots), drawn at random, so steady state mixes L1 hits with L2
+  // hits, each of which fills the L1 by promotion. Neither level may
+  // allocate on the worker: decisions live inline in the slots.
+  const std::vector<core::RequestContext> pool = definitive_pool(64, 11);
+  SnapshotPublisher publisher;
+  publisher.publish(bench::make_policy_store(8));
+  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 1024});
+  EngineConfig config;
+  config.workers = 1;
+  config.max_batch = 64;
+  config.l1_capacity = 16;
+  DecisionEngine engine(publisher, config, &cache);
+  for (const core::RequestContext& request : pool) {
+    const EngineResult r = engine.submit(request).get();  // fills both levels
+    ASSERT_TRUE(r.decided());
+    ASSERT_TRUE(r.decision.obligations.empty() && r.decision.advice.empty());
+  }
+  common::Rng rng(12);
+  std::vector<std::size_t> order(4'096);
+  for (std::size_t& i : order) i = static_cast<std::size_t>(rng.uniform_int(0, 63));
+  const EngineMetrics::Snapshot before = engine.metrics();
+  const WorkerHeapTraffic traffic =
+      measure_worker_heap_traffic(engine, pool, order, 2'000, 20'000);
+  engine.shutdown();
+  const EngineMetrics::Snapshot after = engine.metrics();
+
+  EXPECT_GT(traffic.counted, 10'000u);
+  EXPECT_EQ(traffic.allocations, 0u);
+  EXPECT_GT(after.l1_hits - before.l1_hits, 2'000u);   // hits
+  EXPECT_GT(after.l2_hits - before.l2_hits, 10'000u);  // promotions
+  EXPECT_EQ(after.cache_misses, before.cache_misses);
 }
 
 TEST(DecisionEngineTest, WedgedWorkerDoesNotStrandARequestQueuedWhileItsPeerIsParked) {

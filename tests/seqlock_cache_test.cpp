@@ -1,15 +1,17 @@
-// cache::SeqlockDecisionCache (the two-level design's shared L2), the
-// inline decision codec it stores, cache::WorkerL1Cache (the per-worker
-// L1), and the DecisionCache facade over them. The torn-read stress
-// tests at the bottom are the seqlock protocol's consistency pin — run
-// them under TSan (build-tsan) to check the atomic choreography, and
-// under the plain tree to hammer actual tearing.
+// cache::DecisionSlotTable in both of its instantiations — the shared L2
+// (SeqlockDecisionCache) and a worker's private L1 (WorkerDecisionCache)
+// — the inline decision codec they store, and the DecisionCache facade.
+// The single-thread cases are typed tests run over both lock types. The
+// torn-read stress tests at the bottom are the seqlock protocol's
+// consistency pin — run them under TSan (build-tsan) to check the atomic
+// choreography, and under the plain tree to hammer actual tearing.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "cache/decision_cache.hpp"
@@ -97,11 +99,24 @@ TEST(DecisionCodecTest, RejectsTruncatedAndOverlongInput) {
 }
 
 // ---------------------------------------------------------------------
-// SeqlockDecisionCache
+// DecisionSlotTable, both lock types
 // ---------------------------------------------------------------------
 
-TEST(SeqlockDecisionCacheTest, LookupIsVersionScoped) {
-  SeqlockDecisionCache cache(256);
+template <class Table>
+class SlotTableTest : public ::testing::Test {};
+
+struct LockName {
+  template <class Table>
+  static std::string GetName(int /*index*/) {
+    return std::is_same_v<Table, SeqlockDecisionCache> ? "SharedMutex" : "WorkerNoLock";
+  }
+};
+
+using SlotTables = ::testing::Types<SeqlockDecisionCache, WorkerDecisionCache>;
+TYPED_TEST_SUITE(SlotTableTest, SlotTables, LockName);
+
+TYPED_TEST(SlotTableTest, LookupIsVersionScoped) {
+  TypeParam cache(256);
   const RequestKey k = key_of(1);
   ASSERT_TRUE(cache.insert(k, /*version=*/1, stamped_permit("v1")));
   ASSERT_TRUE(cache.insert(k, /*version=*/2, stamped_permit("v2")));
@@ -125,8 +140,8 @@ TEST(SeqlockDecisionCacheTest, LookupIsVersionScoped) {
   EXPECT_EQ(cache.stats().updates, 1u);
 }
 
-TEST(SeqlockDecisionCacheTest, OversizeDecisionsAreNotCached) {
-  SeqlockDecisionCache cache(64);
+TYPED_TEST(SlotTableTest, OversizeDecisionsAreNotCached) {
+  TypeParam cache(64);
   core::Decision big = core::Decision::indeterminate(
       core::IndeterminateExtent::kDP,
       core::Status::processing_error(std::string(200, 'x')));
@@ -137,8 +152,8 @@ TEST(SeqlockDecisionCacheTest, OversizeDecisionsAreNotCached) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(SeqlockDecisionCacheTest, EvictOlderThanReclaimsExactCounts) {
-  SeqlockDecisionCache cache(1024);
+TYPED_TEST(SlotTableTest, EvictOlderThanReclaimsExactCounts) {
+  TypeParam cache(1024);
   constexpr std::uint64_t kPerVersion = 50;
   for (std::uint64_t i = 0; i < kPerVersion; ++i) {
     ASSERT_TRUE(cache.insert(key_of(i), 1, stamped_permit("v1")));
@@ -159,10 +174,10 @@ TEST(SeqlockDecisionCacheTest, EvictOlderThanReclaimsExactCounts) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(SeqlockDecisionCacheTest, BucketOverflowEvictsAVictimNotTheCache) {
+TYPED_TEST(SlotTableTest, BucketOverflowEvictsAVictimNotTheCache) {
   // Capacity 4 => a single 4-way bucket: the 5th distinct key must
   // displace exactly one victim.
-  SeqlockDecisionCache cache(4);
+  TypeParam cache(4);
   EXPECT_EQ(cache.slot_count(), 4u);
   for (std::uint64_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(cache.insert(key_of(i), 1, stamped_permit("v1")));
@@ -177,12 +192,12 @@ TEST(SeqlockDecisionCacheTest, BucketOverflowEvictsAVictimNotTheCache) {
   EXPECT_EQ(live, 4u);
 }
 
-TEST(SeqlockDecisionCacheTest, ExpiredSlotIsReusedBeforeALiveVictim) {
+TYPED_TEST(SlotTableTest, ExpiredSlotIsReusedBeforeALiveVictim) {
   // One 4-way bucket. Way 0 is refreshed so it outlives ways 1..3: the
   // round-robin victim pick would start at way 0, the expiry-aware one
   // must take an expired slot instead.
   common::ManualClock clock;
-  SeqlockDecisionCache cache(4, /*ttl=*/100, &clock);
+  TypeParam cache(4, /*ttl=*/100, &clock);
   for (std::uint64_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(cache.insert(key_of(i), 1, stamped_permit("v1")));
   }
@@ -202,33 +217,47 @@ TEST(SeqlockDecisionCacheTest, ExpiredSlotIsReusedBeforeALiveVictim) {
   EXPECT_EQ(cache.size(), 4u);
 }
 
-// ---------------------------------------------------------------------
-// WorkerL1Cache
-// ---------------------------------------------------------------------
+TYPED_TEST(SlotTableTest, ExplicitExpiryIsStoredAndReported) {
+  common::ManualClock clock(1'000);
+  TypeParam cache(16, /*ttl=*/100, &clock);
+  ASSERT_TRUE(cache.insert(key_of(1), 1, stamped_permit("ttl")));  // now + ttl
+  ASSERT_TRUE(cache.insert(key_of(2), 1, stamped_permit("given"), /*expires_at=*/1'040));
+  ASSERT_TRUE(cache.insert(key_of(3), 1, stamped_permit("never"), /*expires_at=*/0));
 
-TEST(WorkerL1CacheTest, BoundedLruWithVersionFlush) {
-  WorkerL1Cache l1(2);
-  l1.insert(key_of(1), 1, stamped_permit("a"));
-  l1.insert(key_of(2), 1, stamped_permit("b"));
-  ASSERT_NE(l1.lookup(key_of(1), 1), nullptr);  // touches 1: LRU order 1,2
-  l1.insert(key_of(3), 1, stamped_permit("c"));  // evicts 2 (least recent)
-  EXPECT_EQ(l1.lookup(key_of(2), 1), nullptr);
-  ASSERT_NE(l1.lookup(key_of(1), 1), nullptr);
-  EXPECT_EQ(*l1.lookup(key_of(1), 1), stamped_permit("a"));
-  EXPECT_EQ(l1.size(), 2u);
-  EXPECT_EQ(l1.evictions(), 1u);
+  core::Decision out;
+  std::uint64_t expires_at = 7;
+  ASSERT_TRUE(cache.lookup(key_of(1), 1, out, nullptr, &expires_at));
+  EXPECT_EQ(expires_at, 1'100u);
+  ASSERT_TRUE(cache.lookup(key_of(2), 1, out, nullptr, &expires_at));
+  EXPECT_EQ(expires_at, 1'040u);
+  ASSERT_TRUE(cache.lookup(key_of(3), 1, out, nullptr, &expires_at));
+  EXPECT_EQ(expires_at, 0u);
 
-  // A different version never hits, and an insert under it flushes.
-  EXPECT_EQ(l1.lookup(key_of(1), 2), nullptr);
-  l1.insert(key_of(9), 2, stamped_permit("d"));
-  EXPECT_EQ(l1.size(), 1u);
-  EXPECT_EQ(l1.lookup(key_of(1), 1), nullptr);
-  ASSERT_NE(l1.lookup(key_of(9), 2), nullptr);
-  EXPECT_EQ(l1.flushes(), 1u);
+  clock.advance(40);  // t = 1040: the given expiry has passed, the TTL's has not
+  EXPECT_FALSE(cache.lookup(key_of(2), 1, out));
+  EXPECT_TRUE(cache.lookup(key_of(1), 1, out));
+  clock.advance(1'000'000);
+  EXPECT_FALSE(cache.lookup(key_of(1), 1, out));
+  EXPECT_TRUE(cache.lookup(key_of(3), 1, out));
+}
 
-  l1.flush();
-  EXPECT_EQ(l1.size(), 0u);
-  EXPECT_EQ(l1.lookup(key_of(9), 2), nullptr);
+/// The engine's promotion path: an entry read from the shared table and
+/// copied into a private one expires when the shared entry would have.
+TEST(SlotTablePromotionTest, PromotedEntryKeepsItsSourceExpiry) {
+  common::ManualClock clock;
+  SeqlockDecisionCache shared(64, /*ttl=*/100, &clock);
+  WorkerDecisionCache local(4, /*ttl=*/100, &clock);
+  ASSERT_TRUE(shared.insert(key_of(1), 1, stamped_permit("v1")));  // expires at 100
+  clock.advance(60);
+
+  core::Decision out;
+  std::uint64_t expires_at = 0;
+  ASSERT_TRUE(shared.lookup(key_of(1), 1, out, nullptr, &expires_at));
+  ASSERT_TRUE(local.insert(key_of(1), 1, out, expires_at));
+  EXPECT_TRUE(local.lookup(key_of(1), 1, out));
+  clock.advance(40);  // t = 100
+  EXPECT_FALSE(local.lookup(key_of(1), 1, out));
+  EXPECT_FALSE(shared.lookup(key_of(1), 1, out));
 }
 
 // ---------------------------------------------------------------------
@@ -243,14 +272,14 @@ TEST(DecisionCacheTwoLevelTest, VersionedApiAndSweep) {
   cache.insert(k, 3, stamped_permit("v3"));
   // The unversioned (PEP) API is version 0 of the same keyspace.
   cache.insert(k, stamped_permit("v0"));
-  auto hit = cache.lookup(k, 3);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, stamped_permit("v3"));
-  EXPECT_FALSE(cache.lookup(k, 4).has_value());
+  core::Decision hit;
+  ASSERT_TRUE(cache.lookup(k, 3, hit));
+  EXPECT_EQ(hit, stamped_permit("v3"));
+  EXPECT_FALSE(cache.lookup(k, 4, hit));
   EXPECT_EQ(cache.size(), 2u);
 
   EXPECT_EQ(cache.evict_older_than(4), 2u);  // versions 0 and 3
-  EXPECT_FALSE(cache.lookup(k, 3).has_value());
+  EXPECT_FALSE(cache.lookup(k, 3, hit));
   EXPECT_FALSE(cache.lookup(k).has_value());
   EXPECT_EQ(cache.stats().version_evictions, 2u);
 }
