@@ -1,7 +1,6 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -96,27 +95,58 @@ std::string render_label_block(const std::vector<Label>& labels) {
 }
 
 // ---------------------------------------------------------------------
-// Histogram
+// Counter / Histogram
 // ---------------------------------------------------------------------
 
-void Histogram::observe(std::uint64_t v) {
-  const std::size_t bucket = std::min<std::size_t>(std::bit_width(v), kBuckets - 1);
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
+std::uint64_t Counter::value() const {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < shards_; ++i) total += value(i);
+  return total;
+}
+
+void Counter::reset() {
+  for (std::size_t i = 0; i < shards_; ++i) {
+    cells_[i].v.store(0, std::memory_order_relaxed);
+  }
 }
 
 double Histogram::Snapshot::upper_bound(std::size_t i) {
   return std::ldexp(1.0, static_cast<int>(i));
 }
 
+double Histogram::Snapshot::percentile(double q) const {
+  if (total == 0) return 0.0;
+  const auto value_of = [](std::size_t i) {
+    return i == 0 ? 0.0 : 1.5 * std::ldexp(1.0, static_cast<int>(i) - 1);
+  };
+  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total));
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    seen += counts[i];
+    if (seen > target) return value_of(i);
+  }
+  return value_of(kBuckets - 1);
+}
+
 Histogram::Snapshot Histogram::snapshot() const {
   Snapshot s;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    s.counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    s.total += s.counts[i];
+  for (std::size_t shard = 0; shard < shards_; ++shard) {
+    const Shard& cell = cells_[shard];
+    for (std::size_t i = 0; i < kBuckets; ++i) {
+      s.counts[i] += cell.buckets[i].load(std::memory_order_relaxed);
+    }
+    s.sum += cell.sum.load(std::memory_order_relaxed);
   }
-  s.sum = sum_.load(std::memory_order_relaxed);
+  for (const std::uint64_t count : s.counts) s.total += count;
   return s;
+}
+
+void Histogram::reset() {
+  for (std::size_t shard = 0; shard < shards_; ++shard) {
+    Shard& cell = cells_[shard];
+    for (auto& bucket : cell.buckets) bucket.store(0, std::memory_order_relaxed);
+    cell.sum.store(0, std::memory_order_relaxed);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -126,7 +156,13 @@ Histogram::Snapshot Histogram::snapshot() const {
 MetricSink::Family& MetricSink::family(std::string_view name, std::string_view help,
                                        char type) {
   const auto it = families_.find(name);
-  if (it != families_.end()) return it->second;
+  if (it != families_.end()) {
+    if (it->second.type != type) {
+      throw std::logic_error("obs::MetricSink: metric '" + std::string(name) +
+                             "' reported with two types");
+    }
+    return it->second;
+  }
   Family f;
   f.type = type;
   f.help = std::string(help);
@@ -173,53 +209,6 @@ void MetricSink::histogram(std::string_view name, std::string_view help,
 // Registry
 // ---------------------------------------------------------------------
 
-Registry::Instrument& Registry::instrument(std::string name, std::string help,
-                                           std::vector<Label> labels, char type) {
-  std::lock_guard lock(mutex_);
-  std::string block = render_label_block(labels);
-  const std::string key = name + block;
-  const auto it = by_key_.find(key);
-  if (it != by_key_.end()) {
-    Instrument& existing = *instruments_[it->second];
-    if (existing.type != type) {
-      throw std::logic_error("obs::Registry: metric '" + name +
-                             "' re-registered with a different type");
-    }
-    return existing;
-  }
-  auto inst = std::make_unique<Instrument>();
-  inst->name = std::move(name);
-  inst->help = std::move(help);
-  inst->label_block = std::move(block);
-  inst->type = type;
-  instruments_.push_back(std::move(inst));
-  by_key_.emplace(key, instruments_.size() - 1);
-  return *instruments_.back();
-}
-
-Counter& Registry::counter(std::string name, std::string help,
-                           std::vector<Label> labels, std::size_t shards) {
-  Instrument& inst =
-      instrument(std::move(name), std::move(help), std::move(labels), 'c');
-  if (inst.counter == nullptr) inst.counter = std::make_unique<Counter>(shards);
-  return *inst.counter;
-}
-
-Gauge& Registry::gauge(std::string name, std::string help, std::vector<Label> labels) {
-  Instrument& inst =
-      instrument(std::move(name), std::move(help), std::move(labels), 'g');
-  if (inst.gauge == nullptr) inst.gauge = std::make_unique<Gauge>();
-  return *inst.gauge;
-}
-
-Histogram& Registry::histogram(std::string name, std::string help,
-                               std::vector<Label> labels) {
-  Instrument& inst =
-      instrument(std::move(name), std::move(help), std::move(labels), 'h');
-  if (inst.histogram == nullptr) inst.histogram = std::make_unique<Histogram>();
-  return *inst.histogram;
-}
-
 std::uint64_t Registry::add_collector(Collector collector) {
   std::lock_guard lock(mutex_);
   const std::uint64_t id = next_collector_id_++;
@@ -235,35 +224,6 @@ void Registry::remove_collector(std::uint64_t id) {
 void Registry::expose(std::string& out) const {
   std::lock_guard lock(mutex_);
   MetricSink sink;
-  // Owned instruments report themselves through the same sink as
-  // collectors, so ordering and rendering live in exactly one place.
-  for (const auto& inst : instruments_) {
-    MetricSink::Sample s;
-    s.label_block = inst->label_block;
-    switch (inst->type) {
-      case 'c':
-        s.value = static_cast<double>(inst->counter->value());
-        break;
-      case 'g':
-        s.value = inst->gauge->value();
-        break;
-      case 'h': {
-        const Histogram::Snapshot snap = inst->histogram->snapshot();
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-          if (snap.counts[i] == 0) continue;
-          cumulative += snap.counts[i];
-          s.cumulative.emplace_back(Histogram::Snapshot::upper_bound(i), cumulative);
-        }
-        s.count = snap.total;
-        s.sum = static_cast<double>(snap.sum);
-        break;
-      }
-      default:
-        break;
-    }
-    sink.family(inst->name, inst->help, inst->type).samples.push_back(std::move(s));
-  }
   for (const auto& [id, collector] : collectors_) {
     (void)id;
     collector(sink);

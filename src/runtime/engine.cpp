@@ -1,7 +1,6 @@
 #include "runtime/engine.hpp"
 
 #include <bit>
-#include <cmath>
 #include <exception>
 #include <string>
 
@@ -34,113 +33,60 @@ const char* to_string(CompletionStatus s) {
 // ---------------------------------------------------------------------
 
 EngineMetrics::EngineMetrics(std::size_t workers, std::size_t queue_capacity)
-    : queue_capacity_(queue_capacity) {
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_.push_back(std::make_unique<WorkerCounters>());
-  }
-}
-
-void EngineMetrics::record_batch(std::size_t worker, std::size_t batch_size) {
-  WorkerCounters& w = *workers_[worker];
-  w.batches.fetch_add(1, std::memory_order_relaxed);
-  w.batched_requests.fetch_add(batch_size, std::memory_order_relaxed);
-}
-
-void EngineMetrics::record_decided(std::size_t worker, std::uint64_t latency_ns) {
-  workers_[worker]->ops.fetch_add(1, std::memory_order_relaxed);
-  // bit_width maps [2^(i-1), 2^i) to bucket i; 0 -> bucket 0.
-  const std::size_t bucket =
-      std::min<std::size_t>(std::bit_width(latency_ns), kLatencyBuckets - 1);
-  latency_histogram_[bucket].fetch_add(1, std::memory_order_relaxed);
-  latency_sum_ns_.fetch_add(latency_ns, std::memory_order_relaxed);
-}
-
-namespace {
-
-/// Representative latency of log2 bucket `i` (the bucket's midpoint).
-double bucket_value(std::size_t i) {
-  if (i == 0) return 0.0;
-  return 1.5 * std::ldexp(1.0, static_cast<int>(i) - 1);
-}
-
-}  // namespace
+    : queue_capacity_(queue_capacity),
+      ops_(workers),
+      batches_(workers),
+      batched_requests_(workers),
+      l1_hits_(workers),
+      l2_hits_(workers),
+      cache_misses_(workers),
+      l2_retries_(workers),
+      parks_(workers),
+      latency_(workers) {}
 
 void EngineMetrics::reset() {
-  submitted_.value.store(0, std::memory_order_relaxed);
-  wakes_.value.store(0, std::memory_order_relaxed);
-  version_evictions_.store(0, std::memory_order_relaxed);
-  for (auto& count : sheds_) count.store(0, std::memory_order_relaxed);
-  adoptions_.store(0, std::memory_order_relaxed);
-  for (const auto& w : workers_) {
-    w->ops.store(0, std::memory_order_relaxed);
-    w->batches.store(0, std::memory_order_relaxed);
-    w->batched_requests.store(0, std::memory_order_relaxed);
-    w->l1_hits.store(0, std::memory_order_relaxed);
-    w->l2_hits.store(0, std::memory_order_relaxed);
-    w->cache_misses.store(0, std::memory_order_relaxed);
-    w->l2_retries.store(0, std::memory_order_relaxed);
-    w->parks.store(0, std::memory_order_relaxed);
+  for (obs::Counter* counter :
+       {&submitted_, &wakes_, &version_evictions_, &adoptions_, &sheds_, &ops_, &batches_,
+        &batched_requests_, &l1_hits_, &l2_hits_, &cache_misses_, &l2_retries_, &parks_}) {
+    counter->reset();
   }
-  for (auto& bucket : latency_histogram_) bucket.store(0, std::memory_order_relaxed);
-  latency_sum_ns_.store(0, std::memory_order_relaxed);
+  latency_.reset();
 }
 
 EngineMetrics::Snapshot EngineMetrics::snapshot() const {
   Snapshot s;
-  s.submitted = submitted_.value.load(std::memory_order_relaxed);
-  s.wakes = wakes_.value.load(std::memory_order_relaxed);
-  s.version_evictions = version_evictions_.load(std::memory_order_relaxed);
+  s.submitted = submitted_.value();
+  s.wakes = wakes_.value();
+  s.version_evictions = version_evictions_.value();
+  s.snapshot_adoptions = adoptions_.value();
   const auto shed = [this](CompletionStatus cause) {
-    return sheds_[static_cast<std::size_t>(cause)].load(std::memory_order_relaxed);
+    return sheds_.value(static_cast<std::size_t>(cause));
   };
   s.shed_queue_full = shed(CompletionStatus::kShedQueueFull);
   s.shed_deadline = shed(CompletionStatus::kShedDeadline);
   s.shed_shutdown = shed(CompletionStatus::kShutdown);
-  s.snapshot_adoptions = adoptions_.load(std::memory_order_relaxed);
   s.queue_capacity = queue_capacity_;
 
-  std::uint64_t batches = 0;
-  std::uint64_t batched = 0;
-  s.worker_ops.reserve(workers_.size());
-  for (const auto& w : workers_) {
-    s.worker_ops.push_back(w->ops.load(std::memory_order_relaxed));
+  s.worker_ops.reserve(ops_.shards());
+  for (std::size_t worker = 0; worker < ops_.shards(); ++worker) {
+    s.worker_ops.push_back(ops_.value(worker));
     s.decided += s.worker_ops.back();
-    s.parks += w->parks.load(std::memory_order_relaxed);
-    batches += w->batches.load(std::memory_order_relaxed);
-    batched += w->batched_requests.load(std::memory_order_relaxed);
-    s.l1_hits += w->l1_hits.load(std::memory_order_relaxed);
-    s.l2_hits += w->l2_hits.load(std::memory_order_relaxed);
-    s.cache_misses += w->cache_misses.load(std::memory_order_relaxed);
-    s.l2_read_retries += w->l2_retries.load(std::memory_order_relaxed);
   }
+  s.parks = parks_.value();
+  s.l1_hits = l1_hits_.value();
+  s.l2_hits = l2_hits_.value();
   s.cache_hits = s.l1_hits + s.l2_hits;
-  s.batches = batches;
+  s.cache_misses = cache_misses_.value();
+  s.l2_read_retries = l2_retries_.value();
+  s.batches = batches_.value();
+  const std::uint64_t batched = batched_requests_.value();
   s.mean_batch_size =
-      batches > 0 ? static_cast<double>(batched) / static_cast<double>(batches) : 0.0;
+      s.batches > 0 ? static_cast<double>(batched) / static_cast<double>(s.batches) : 0.0;
 
-  std::array<std::uint64_t, kLatencyBuckets> counts;
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < kLatencyBuckets; ++i) {
-    counts[i] = latency_histogram_[i].load(std::memory_order_relaxed);
-    total += counts[i];
-  }
-  s.latency_buckets = counts;
-  s.latency_sum_ns = latency_sum_ns_.load(std::memory_order_relaxed);
-  if (total > 0) {
-    const auto percentile = [&](double q) {
-      const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total));
-      std::uint64_t seen = 0;
-      for (std::size_t i = 0; i < kLatencyBuckets; ++i) {
-        seen += counts[i];
-        if (seen > target) return bucket_value(i);
-      }
-      return bucket_value(kLatencyBuckets - 1);
-    };
-    s.latency_p50_ns = percentile(0.50);
-    s.latency_p90_ns = percentile(0.90);
-    s.latency_p99_ns = percentile(0.99);
-  }
+  s.latency = latency_.snapshot();
+  s.latency_p50_ns = s.latency.percentile(0.50);
+  s.latency_p90_ns = s.latency.percentile(0.90);
+  s.latency_p99_ns = s.latency.percentile(0.99);
   return s;
 }
 
@@ -825,20 +771,9 @@ std::uint64_t DecisionEngine::register_metrics(obs::Registry& registry) const {
                    static_cast<double>(s.worker_ops[i]),
                    {{"worker", std::to_string(i)}});
     }
-    // Bucket i means the same range on both sides; a wider obs::Histogram
-    // (say, log-linear) must not read past the engine's array.
-    static_assert(std::tuple_size_v<decltype(EngineMetrics::Snapshot::latency_buckets)> ==
-                      obs::Histogram::kBuckets,
-                  "engine latency buckets must map one-to-one onto obs::Histogram");
-    obs::Histogram::Snapshot latency;
-    for (std::size_t i = 0; i < obs::Histogram::kBuckets; ++i) {
-      latency.counts[i] = s.latency_buckets[i];
-      latency.total += s.latency_buckets[i];
-    }
-    latency.sum = s.latency_sum_ns;
     sink.histogram("mdac_engine_latency_ns",
                    "Completion latency (enqueue to callback), log2 ns buckets.",
-                   latency);
+                   s.latency);
   });
 }
 

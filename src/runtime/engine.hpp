@@ -133,7 +133,6 @@
 // before `submit` returns; that is what makes shedding deterministic.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -149,6 +148,7 @@
 #include "cache/decision_cache.hpp"
 #include "common/clock.hpp"
 #include "core/pdp.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "runtime/snapshot.hpp"
 
@@ -205,7 +205,9 @@ struct EngineResult {
 
 /// Aggregated engine counters, all updated with relaxed atomics on the
 /// hot path and read as a consistent-enough snapshot by health checks
-/// and the bench harness.
+/// and the bench harness. The counts live in obs instruments the engine
+/// owns; per-worker counts and the latency histogram have one shard per
+/// worker, so no worker writes a line another thread writes.
 class EngineMetrics {
  public:
   struct Snapshot {
@@ -235,14 +237,14 @@ class EngineMetrics {
     std::vector<std::uint64_t> worker_ops;  // decided per worker
     double mean_batch_size = 0;
     /// Approximate completion-latency percentiles (enqueue → callback)
-    /// from a log2-bucketed histogram: right within ~1.5x of a bucket.
+    /// from `latency` (obs::Histogram::Snapshot::percentile): right
+    /// within ~1.5x of a bucket.
     double latency_p50_ns = 0;
     double latency_p90_ns = 0;
     double latency_p99_ns = 0;
-    /// Raw log2 latency buckets + sum — what the obs::Registry collector
-    /// re-exports as a native Prometheus histogram.
-    std::array<std::uint64_t, 64> latency_buckets{};
-    std::uint64_t latency_sum_ns = 0;
+    /// Completion latency in ns, log2 buckets — what the obs::Registry
+    /// collector exports as a native Prometheus histogram.
+    obs::Histogram::Snapshot latency;
 
     std::uint64_t sheds() const {
       return shed_queue_full + shed_deadline + shed_shutdown;
@@ -263,35 +265,31 @@ class EngineMetrics {
 
   EngineMetrics(std::size_t workers, std::size_t queue_capacity);
 
-  void record_submitted() { submitted_.value.fetch_add(1, std::memory_order_relaxed); }
+  void record_submitted() { submitted_.add(); }
   void record_shed(CompletionStatus cause) {
-    sheds_[static_cast<std::size_t>(cause)].fetch_add(1, std::memory_order_relaxed);
+    sheds_.add(1, static_cast<std::size_t>(cause));
   }
-  /// Cache-path counters live in the padded per-worker blocks: the hit
-  /// path must not rendezvous all workers on one shared counter line.
-  void record_l1_hit(std::size_t worker) {
-    workers_[worker]->l1_hits.fetch_add(1, std::memory_order_relaxed);
-  }
+  void record_l1_hit(std::size_t worker) { l1_hits_.add(1, worker); }
   void record_l2_hit(std::size_t worker, std::uint64_t retries) {
-    WorkerCounters& w = *workers_[worker];
-    w.l2_hits.fetch_add(1, std::memory_order_relaxed);
-    if (retries != 0) w.l2_retries.fetch_add(retries, std::memory_order_relaxed);
+    l2_hits_.add(1, worker);
+    if (retries != 0) l2_retries_.add(retries, worker);
   }
   void record_cache_miss(std::size_t worker, std::uint64_t retries) {
-    WorkerCounters& w = *workers_[worker];
-    w.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    if (retries != 0) w.l2_retries.fetch_add(retries, std::memory_order_relaxed);
+    cache_misses_.add(1, worker);
+    if (retries != 0) l2_retries_.add(retries, worker);
   }
-  void record_version_evictions(std::uint64_t count) {
-    version_evictions_.fetch_add(count, std::memory_order_relaxed);
+  void record_version_evictions(std::uint64_t count) { version_evictions_.add(count); }
+  void record_batch(std::size_t worker, std::size_t batch_size) {
+    batches_.add(1, worker);
+    batched_requests_.add(batch_size, worker);
   }
-  void record_batch(std::size_t worker, std::size_t batch_size);
-  void record_decided(std::size_t worker, std::uint64_t latency_ns);
-  void record_adoption() { adoptions_.fetch_add(1, std::memory_order_relaxed); }
-  void record_park(std::size_t worker) {
-    workers_[worker]->parks.fetch_add(1, std::memory_order_relaxed);
+  void record_decided(std::size_t worker, std::uint64_t latency_ns) {
+    ops_.add(1, worker);
+    latency_.observe(latency_ns, worker);
   }
-  void record_wake() { wakes_.value.fetch_add(1, std::memory_order_relaxed); }
+  void record_adoption() { adoptions_.add(); }
+  void record_park(std::size_t worker) { parks_.add(1, worker); }
+  void record_wake() { wakes_.add(); }
 
   Snapshot snapshot() const;
 
@@ -303,43 +301,25 @@ class EngineMetrics {
   void reset();
 
  private:
-  static constexpr std::size_t kLatencyBuckets = 64;
-
-  /// Padded per-worker counters so workers don't false-share a line.
-  /// The cache counters live here too: the cache's read path is
-  /// lock-free precisely so workers share nothing — a shared hit
-  /// counter would put the contended line right back.
-  struct alignas(64) WorkerCounters {
-    std::atomic<std::uint64_t> ops{0};
-    std::atomic<std::uint64_t> batches{0};
-    std::atomic<std::uint64_t> batched_requests{0};
-    std::atomic<std::uint64_t> l1_hits{0};
-    std::atomic<std::uint64_t> l2_hits{0};
-    std::atomic<std::uint64_t> cache_misses{0};
-    std::atomic<std::uint64_t> l2_retries{0};
-    std::atomic<std::uint64_t> parks{0};
-  };
-
-  /// A counter alone on its cache line.
-  struct alignas(64) PaddedCounter {
-    std::atomic<std::uint64_t> value{0};
-  };
-
   std::size_t queue_capacity_;
-  /// Written by every submit; on its own line so it does not share one
-  /// with anything a worker writes. `decided` is the sum of the
-  /// per-worker `ops`.
-  PaddedCounter submitted_;
+  /// Written by every submit, on the submitting threads.
+  obs::Counter submitted_;
   /// Written by submitters that wake a worker.
-  PaddedCounter wakes_;
-  std::atomic<std::uint64_t> version_evictions_{0};
-  /// Sheds by cause, indexed by CompletionStatus (kDecided's slot unused).
-  std::array<std::atomic<std::uint64_t>, 4> sheds_{};
-  std::atomic<std::uint64_t> adoptions_{0};
-  std::vector<std::unique_ptr<WorkerCounters>> workers_;
-  /// Completion latency, log2 ns buckets (bucket i covers [2^(i-1), 2^i)).
-  std::array<std::atomic<std::uint64_t>, kLatencyBuckets> latency_histogram_{};
-  std::atomic<std::uint64_t> latency_sum_ns_{0};
+  obs::Counter wakes_;
+  obs::Counter version_evictions_;
+  obs::Counter adoptions_;
+  /// Sheds by cause: one shard per CompletionStatus (kDecided's unused).
+  obs::Counter sheds_{4};
+  /// One shard per worker. `decided` is the sum of `ops_`.
+  obs::Counter ops_;
+  obs::Counter batches_;
+  obs::Counter batched_requests_;
+  obs::Counter l1_hits_;
+  obs::Counter l2_hits_;
+  obs::Counter cache_misses_;
+  obs::Counter l2_retries_;
+  obs::Counter parks_;
+  obs::Histogram latency_;
 };
 
 struct EngineConfig {

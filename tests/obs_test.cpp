@@ -1,8 +1,9 @@
 // mdac::obs — unified metrics registry and decision tracer.
 //
-//   * Registry unit behaviour: owned instruments (idempotent
-//     registration, type-mismatch refusal, sharded counters),
-//     collectors, label escaping, stable exposition ordering.
+//   * Instruments: sharded Counter and Histogram (per-shard reads,
+//     sums, reset, the percentile bucket rule).
+//   * Registry unit behaviour: collectors, type-mismatch refusal, label
+//     escaping, stable exposition ordering.
 //   * DecisionTracer: head-sampling cadence, explain ring wrap and
 //     eviction accounting, queries, rendering.
 //   * Golden-file exposition: one registry covering EVERY adapted
@@ -37,54 +38,111 @@ namespace mdac::obs {
 namespace {
 
 // ---------------------------------------------------------------------
-// Registry: owned instruments
+// Instruments
 // ---------------------------------------------------------------------
 
-TEST(RegistryTest, CounterGaugeHistogramRoundTrip) {
-  Registry registry;
-  Counter& c = registry.counter("mdac_test_ops_total", "Ops.");
-  c.add(3);
-  c.increment();
-  EXPECT_EQ(c.value(), 4u);
+TEST(CounterTest, ShardsReadAloneAndSum) {
+  Counter c(4);
+  EXPECT_EQ(c.shards(), 4u);
+  for (std::size_t shard = 0; shard < 4; ++shard) c.add(10 * (shard + 1), shard);
+  c.add();                 // one, into shard 0
+  c.add(5, /*shard=*/99);  // out-of-range shards fold into shard 0
+  EXPECT_EQ(c.value(0), 16u);
+  EXPECT_EQ(c.value(1), 20u);
+  EXPECT_EQ(c.value(2), 30u);
+  EXPECT_EQ(c.value(3), 40u);
+  EXPECT_EQ(c.value(), 106u);
+  EXPECT_EQ(Counter(0).shards(), 1u);  // zero shards means one
+}
 
-  Gauge& g = registry.gauge("mdac_test_depth", "Depth.");
-  g.set(7.5);
-  EXPECT_DOUBLE_EQ(g.value(), 7.5);
-  g.add(-2.5);
-  EXPECT_DOUBLE_EQ(g.value(), 5.0);
+TEST(CounterTest, ResetZeroesEveryShard) {
+  Counter c(3);
+  for (std::size_t shard = 0; shard < 3; ++shard) c.add(7, shard);
+  c.reset();
+  EXPECT_EQ(c.value(), 0u);
+  for (std::size_t shard = 0; shard < 3; ++shard) EXPECT_EQ(c.value(shard), 0u);
+  c.add(2, 1);
+  EXPECT_EQ(c.value(), 2u);
+}
 
-  Histogram& h = registry.histogram("mdac_test_latency", "Latency.");
-  h.observe(1);
-  h.observe(1000);
+TEST(HistogramTest, ShardsSumIntoOneSnapshot) {
+  Histogram h(3);
+  h.observe(0, 0);     // bucket 0
+  h.observe(1, 1);     // bucket 1: [1, 2)
+  h.observe(1000, 2);  // bucket 10: [512, 1024)
+  h.observe(1023, 7);  // out-of-range shard folds into shard 0; bucket 10
+  h.observe(~std::uint64_t{0}, 1);  // the widest value lands in the last bucket
   const Histogram::Snapshot s = h.snapshot();
-  EXPECT_EQ(s.total, 2u);
-  EXPECT_EQ(s.sum, 1001u);
+  EXPECT_EQ(s.total, 5u);
+  EXPECT_EQ(s.counts[0], 1u);
+  EXPECT_EQ(s.counts[1], 1u);
+  EXPECT_EQ(s.counts[10], 2u);
+  EXPECT_EQ(s.counts[Histogram::kBuckets - 1], 1u);
+  EXPECT_EQ(s.sum, 0u + 1u + 1000u + 1023u + ~std::uint64_t{0});  // wraps, like the atomic
+  EXPECT_DOUBLE_EQ(Histogram::Snapshot::upper_bound(10), 1024.0);
 }
 
-TEST(RegistryTest, ShardedCounterSumsAcrossCells) {
-  Registry registry;
-  Counter& c =
-      registry.counter("mdac_test_sharded_total", "Sharded.", {}, /*shards=*/4);
-  for (std::size_t shard = 0; shard < 4; ++shard) c.add(10, shard);
-  c.add(5, /*shard=*/99);  // out-of-range shards fold into cell 0
-  EXPECT_EQ(c.value(), 45u);
+TEST(HistogramTest, ResetZeroesEveryShard) {
+  Histogram h(2);
+  h.observe(5, 0);
+  h.observe(500, 1);
+  h.reset();
+  const Histogram::Snapshot s = h.snapshot();
+  EXPECT_EQ(s.total, 0u);
+  EXPECT_EQ(s.sum, 0u);
+  for (const std::uint64_t count : s.counts) EXPECT_EQ(count, 0u);
+  EXPECT_EQ(s.percentile(0.5), 0.0);
 }
 
-TEST(RegistryTest, RegistrationIsIdempotentByNameAndLabels) {
-  Registry registry;
-  Counter& a = registry.counter("mdac_test_total", "Help.", {{"k", "v"}});
-  Counter& b = registry.counter("mdac_test_total", "Help.", {{"k", "v"}});
-  EXPECT_EQ(&a, &b);
-  // A different label set is a different instrument.
-  Counter& c = registry.counter("mdac_test_total", "Help.", {{"k", "w"}});
-  EXPECT_NE(&a, &c);
+TEST(HistogramTest, PercentileReadsTheBucketRule) {
+  // Bucket 0 reads 0, bucket i reads 1.5 * 2^(i-1): the first bucket
+  // whose cumulative count exceeds q * total.
+  EXPECT_EQ(Histogram().snapshot().percentile(0.5), 0.0);  // empty reads 0
+
+  Histogram h;
+  h.observe(0);                              // bucket 0
+  for (int i = 0; i < 8; ++i) h.observe(3);  // bucket 2 -> 3
+  h.observe(1000);                           // bucket 10 -> 768
+  const Histogram::Snapshot s = h.snapshot();
+  ASSERT_EQ(s.total, 10u);
+  EXPECT_EQ(s.percentile(0.0), 0.0);    // target 0: bucket 0 already exceeds it
+  EXPECT_EQ(s.percentile(0.05), 0.0);   // target 0
+  EXPECT_EQ(s.percentile(0.1), 3.0);    // target 1: bucket 0 holds only 1
+  EXPECT_EQ(s.percentile(0.5), 3.0);
+  EXPECT_EQ(s.percentile(0.89), 3.0);   // target 8: cumulative 9 at bucket 2
+  EXPECT_EQ(s.percentile(0.9), 768.0);  // target 9: cumulative 10 at bucket 10
+  EXPECT_EQ(s.percentile(0.99), 768.0);
+  // q = 1 asks for a count above the total: past the end reads the last
+  // bucket, 1.5 * 2^62.
+  EXPECT_EQ(s.percentile(1.0), 1.5 * 4611686018427387904.0);
+
+  Histogram one;
+  one.observe(1);  // bucket 1 -> 1.5
+  EXPECT_EQ(one.snapshot().percentile(0.5), 1.5);
 }
+
+// ---------------------------------------------------------------------
+// Registry
+// ---------------------------------------------------------------------
 
 TEST(RegistryTest, TypeMismatchOnOneNameThrows) {
   Registry registry;
-  registry.counter("mdac_test_value", "Help.");
-  EXPECT_THROW(registry.gauge("mdac_test_value", "Help."), std::logic_error);
-  EXPECT_THROW(registry.histogram("mdac_test_value", "Help."), std::logic_error);
+  registry.add_collector([](MetricSink& sink) {
+    sink.counter("mdac_test_value", "Help.", 1);
+  });
+  const std::uint64_t histogram = registry.add_collector([](MetricSink& sink) {
+    Histogram h;
+    h.observe(10);
+    sink.histogram("mdac_test_value", "Help.", h.snapshot());
+  });
+  EXPECT_THROW(registry.expose(), std::logic_error);
+  registry.remove_collector(histogram);
+  const std::uint64_t gauge = registry.add_collector([](MetricSink& sink) {
+    sink.gauge("mdac_test_value", "Help.", 2);
+  });
+  EXPECT_THROW(registry.expose(), std::logic_error);
+  registry.remove_collector(gauge);
+  EXPECT_NE(registry.expose().find("mdac_test_value 1"), std::string::npos);
 }
 
 TEST(RegistryTest, LabelValuesAreEscaped) {
@@ -95,11 +153,15 @@ TEST(RegistryTest, LabelValuesAreEscaped) {
 
 TEST(RegistryTest, ExpositionOrderingIsStable) {
   Registry registry;
-  // Registered out of order on purpose: exposition sorts families by
+  // Reported out of order on purpose: exposition sorts families by
   // name and samples by label block.
-  registry.counter("mdac_zz_total", "Last.").add(1);
-  registry.counter("mdac_aa_total", "First.", {{"x", "2"}}).add(2);
-  registry.counter("mdac_aa_total", "First.", {{"x", "1"}}).add(1);
+  registry.add_collector([](MetricSink& sink) {
+    sink.counter("mdac_zz_total", "Last.", 1);
+    sink.counter("mdac_aa_total", "First.", 2, {{"x", "2"}});
+  });
+  registry.add_collector([](MetricSink& sink) {
+    sink.counter("mdac_aa_total", "First.", 1, {{"x", "1"}});
+  });
   const std::string page = registry.expose();
   const std::size_t aa = page.find("mdac_aa_total{x=\"1\"} 1");
   const std::size_t aa2 = page.find("mdac_aa_total{x=\"2\"} 2");
@@ -249,9 +311,10 @@ TEST(GoldenExpositionTest, FullRegistryMatchesGoldenFile) {
   obs::Registry registry;
 
   // Escaping demo pinned in the golden output.
-  registry.counter("mdac_example_escapes_total", "Label escaping demo.",
-                   {{"path", "a\\b\"c\nd"}})
-      .add(1);
+  registry.add_collector([](MetricSink& sink) {
+    sink.counter("mdac_example_escapes_total", "Label escaping demo.", 1,
+                 {{"path", "a\\b\"c\nd"}});
+  });
 
   // PAP with a wrapping audit ring: 2 policies x (submit + issue) = 4
   // entries through a capacity-2 ring -> 2 drops.

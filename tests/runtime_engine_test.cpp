@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <future>
 #include <memory>
 #include <optional>
@@ -21,6 +22,7 @@
 #include "core/serialization.hpp"
 #include "dependability/replicated_pdp.hpp"
 #include "engine_gate.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "net/sim.hpp"
 #include "pep/pep.hpp"
@@ -1031,6 +1033,118 @@ TEST(DecisionEngineTest, MetricsExposeLatencyAndBatchShape) {
   EXPECT_GT(m.mean_batch_size, 0.0);
   EXPECT_EQ(m.queue_depth, 0u);
   EXPECT_EQ(m.queue_capacity, engine.queue_capacity());
+}
+
+/// Drives a one-worker engine (L1 of one 4-way bucket, queue bound 4)
+/// through every counted outcome: misses, L1 hits and an L2 hit on the
+/// cached store, then a republication to the gated store, a wedged
+/// worker and three queue-full sheds. Returns with the engine shut down,
+/// so its counters are final.
+struct EveryOutcome {
+  cache::DecisionCache cache{cache::DecisionCache::TwoLevelConfig{.capacity = 1024}};
+  SnapshotPublisher publisher;
+  GateResolver gate;
+  std::unique_ptr<DecisionEngine> engine;
+
+  EveryOutcome() {
+    auto store = bench::make_policy_store(8);
+    publisher.publish(store);
+    engine = std::make_unique<DecisionEngine>(
+        publisher,
+        EngineConfig{.workers = 1, .queue_capacity = 4, .max_batch = 1,
+                     .resolver = &gate, .l1_capacity = 1},
+        &cache);
+    const std::vector<core::RequestContext> reads = five_cacheable_reads(store);
+    engine->submit(reads[0]).get();  // miss
+    engine->submit(reads[0]).get();  // L1 hit
+    for (std::size_t i = 1; i < reads.size(); ++i) engine->submit(reads[i]).get();
+    engine->submit(reads[0]).get();  // L2 hit (evicted from the L1), promoted
+    engine->submit(reads[0]).get();  // L1 hit
+
+    publisher.publish(make_gated_store());
+    auto wedged = engine->submit(probe_request());
+    gate.wait_until_blocked(1);
+    std::vector<std::future<EngineResult>> queued;
+    for (int i = 0; i < 4; ++i) queued.push_back(engine->submit(probe_request()));
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(engine->submit(probe_request()).get().status,
+                CompletionStatus::kShedQueueFull);
+    }
+    gate.open();
+    wedged.get();
+    for (auto& f : queued) f.get();
+    engine->shutdown();
+  }
+};
+
+TEST(DecisionEngineTest, ResetMetricsZeroesEveryCounter) {
+  EveryOutcome run;
+  DecisionEngine& engine = *run.engine;
+  const EngineMetrics::Snapshot before = engine.metrics();
+  ASSERT_EQ(before.submitted, 16u);
+  ASSERT_EQ(before.decided, 13u);
+  ASSERT_EQ(before.l1_hits, 2u);
+  ASSERT_EQ(before.l2_hits, 1u);
+  ASSERT_EQ(before.cache_misses, 10u);  // five fills, five gated evaluations
+  ASSERT_EQ(before.shed_queue_full, 3u);
+  ASSERT_EQ(before.version_evictions, 5u);
+  ASSERT_GE(before.snapshot_adoptions, 2u);
+  ASSERT_GT(before.batches, 0u);
+  ASSERT_EQ(before.latency.total, 13u);
+  ASSERT_GT(before.latency.sum, 0u);
+  ASSERT_GT(before.latency_p50_ns, 0.0);
+
+  // Quiescent: shut down, so no worker can count behind the reset.
+  engine.reset_metrics();
+  const EngineMetrics::Snapshot m = engine.metrics();
+  for (const std::uint64_t counter :
+       {m.submitted, m.decided, m.cache_hits, m.l1_hits, m.l2_hits, m.cache_misses,
+        m.l2_read_retries, m.version_evictions, m.shed_queue_full, m.shed_deadline,
+        m.shed_shutdown, m.batches, m.snapshot_adoptions, m.parks, m.wakes}) {
+    EXPECT_EQ(counter, 0u);
+  }
+  EXPECT_EQ(m.worker_ops, std::vector<std::uint64_t>{0});
+  EXPECT_EQ(m.mean_batch_size, 0.0);
+  EXPECT_EQ(m.latency.total, 0u);
+  EXPECT_EQ(m.latency.sum, 0u);
+  EXPECT_EQ(m.latency_p50_ns, 0.0);
+  EXPECT_EQ(m.latency_p90_ns, 0.0);
+  EXPECT_EQ(m.latency_p99_ns, 0.0);
+  EXPECT_EQ(m.queue_capacity, 4u);  // configuration, not a count
+}
+
+/// The value of `series` (a metric name and its label block) on a
+/// scrape page; -1 when the page has no such sample.
+double scraped(const std::string& page, const std::string& series) {
+  const std::string prefix = "\n" + series + " ";
+  const std::size_t at = page.find(prefix);
+  if (at == std::string::npos) return -1;
+  return std::strtod(page.c_str() + at + prefix.size(), nullptr);
+}
+
+TEST(DecisionEngineTest, ScrapeShowsTheSnapshotsNumbers) {
+  EveryOutcome run;
+  obs::Registry registry;
+  run.engine->register_metrics(registry);
+  const std::string page = registry.expose();
+  const EngineMetrics::Snapshot m = run.engine->metrics();
+  ASSERT_GT(m.l1_hits, 0u);
+  ASSERT_GT(m.l2_hits, 0u);
+  ASSERT_GT(m.cache_misses, 0u);
+  ASSERT_GT(m.shed_queue_full, 0u);
+
+  const auto as_double = [](std::uint64_t v) { return static_cast<double>(v); };
+  EXPECT_EQ(scraped(page, "mdac_engine_decided_total"), as_double(m.decided));
+  EXPECT_EQ(scraped(page, "mdac_engine_cache_hits_total{level=\"l1\"}"),
+            as_double(m.l1_hits));
+  EXPECT_EQ(scraped(page, "mdac_engine_cache_hits_total{level=\"l2\"}"),
+            as_double(m.l2_hits));
+  EXPECT_EQ(scraped(page, "mdac_engine_cache_misses_total"), as_double(m.cache_misses));
+  EXPECT_EQ(scraped(page, "mdac_engine_sheds_total{cause=\"queue-full\"}"),
+            as_double(m.shed_queue_full));
+  EXPECT_EQ(scraped(page, "mdac_engine_latency_ns_count"), as_double(m.latency.total));
+  EXPECT_EQ(scraped(page, "mdac_engine_latency_ns_sum"), as_double(m.latency.sum));
+  EXPECT_EQ(m.latency.total, m.decided);
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,11 @@
 // past the queue bound so the shed path fires, republishes mid-stream
 // so version evictions fire, and head-samples every `--sample`-th
 // decision. With --traces, sampled explain traces are rendered after
-// the exposition. Exit status: 0 on success, 2 on usage errors.
+// the exposition. The page then checks itself: it must carry a family
+// from each of the engine, the cache, the tracer and the PAP, and
+// mdac_engine_submitted_total must equal --requests and the decided
+// plus shed totals. Exit status: 0 on success, 1 when that check
+// fails, 2 on usage errors.
 #include <cstdio>
 #include <cstdlib>
 #include <future>
@@ -36,6 +40,40 @@ int usage() {
                "usage: mdac-metrics [--requests N] [--workers N] [--sample N] "
                "[--traces]\n");
   return 2;
+}
+
+/// The value of `series` (a metric name and its label block) on a
+/// scrape page; -1 when the page has no such sample.
+double sample(const std::string& page, const std::string& series) {
+  const std::string prefix = "\n" + series + " ";
+  const std::size_t at = page.find(prefix);
+  if (at == std::string::npos) return -1;
+  return std::strtod(page.c_str() + at + prefix.size(), nullptr);
+}
+
+/// Returns the self-check failures of a scrape of `requests` submissions
+/// (empty when the page passes).
+std::vector<std::string> check_page(const std::string& page, std::size_t requests) {
+  std::vector<std::string> failures;
+  for (const char* prefix : {"mdac_engine_", "mdac_cache_", "mdac_obs_", "mdac_pap_"}) {
+    if (page.find(std::string("# TYPE ") + prefix) == std::string::npos) {
+      failures.push_back(std::string("no ") + prefix + "* family");
+    }
+  }
+  const double submitted = sample(page, "mdac_engine_submitted_total");
+  double completed = sample(page, "mdac_engine_decided_total");
+  for (const char* cause : {"queue-full", "deadline", "shutdown"}) {
+    completed += sample(page, std::string("mdac_engine_sheds_total{cause=\"") + cause + "\"}");
+  }
+  if (submitted != static_cast<double>(requests)) {
+    failures.push_back("mdac_engine_submitted_total " + std::to_string(submitted) +
+                       " != --requests " + std::to_string(requests));
+  }
+  if (completed != submitted) {
+    failures.push_back("decided + sheds " + std::to_string(completed) +
+                       " != mdac_engine_submitted_total " + std::to_string(submitted));
+  }
+  return failures;
 }
 
 core::Policy records_policy(bool allow_auditors) {
@@ -162,5 +200,10 @@ int main(int argc, char** argv) {
       std::fputs("\n", stdout);
     }
   }
-  return 0;
+
+  const std::vector<std::string> failures = check_page(page, requests);
+  for (const std::string& failure : failures) {
+    std::fprintf(stderr, "mdac-metrics: check failed: %s\n", failure.c_str());
+  }
+  return failures.empty() ? 0 : 1;
 }
