@@ -27,14 +27,15 @@ std::pair<trust::Party, trust::Party> chain_scenario(int depth, int extra_noise)
   trust::Party provider;
   provider.name = "provider";
   for (int i = 0; i < depth; ++i) {
-    const std::string c = "c" + std::to_string(i);
-    const std::string p = "p" + std::to_string(i);
+    const std::string c = std::string("c").append(std::to_string(i));
+    const std::string p = std::string("p").append(std::to_string(i));
     requester.credentials.insert(c);
     provider.credentials.insert(p);
     requester.release_policies[c] = trust::DisclosurePolicy::credential(p);
     if (i + 1 < depth) {
       provider.release_policies[p] =
-          trust::DisclosurePolicy::credential("c" + std::to_string(i + 1));
+          trust::DisclosurePolicy::credential(
+              std::string("c").append(std::to_string(i + 1)));
     }
   }
   // Irrelevant, freely releasable credentials (the privacy bait).

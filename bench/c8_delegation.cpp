@@ -27,7 +27,7 @@ delegation::DelegationRegistry chain_registry(int depth) {
   reg.add_root("root");
   std::string previous = "root";
   for (int i = 0; i < depth; ++i) {
-    const std::string next = "a" + std::to_string(i);
+    const std::string next = std::string("a").append(std::to_string(i));
     const delegation::AdminGrant grant{
         previous, next, "shared/*",
         /*allow_redelegation=*/i + 1 < depth,
@@ -54,7 +54,7 @@ core::Policy issued_policy(const std::string& id, const std::string& issuer) {
 void BM_ReductionVsChainDepth(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   const auto reg = chain_registry(depth);
-  const std::string leaf = "a" + std::to_string(depth - 1);
+  const std::string leaf = std::string("a").append(std::to_string(depth - 1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(reg.reduction_chain(leaf, "shared/data"));
   }
@@ -95,10 +95,10 @@ void BM_RevocationBlastRadius(benchmark::State& state) {
     core::PolicyStore store;
     for (int i = 0; i < 100; ++i) {
       store.add(issued_policy("p-" + std::to_string(i),
-                              "a" + std::to_string(i % kDepth)));
+                              std::string("a").append(std::to_string(i % kDepth))));
     }
     const std::size_t before = delegation::filter_by_reduction(store, reg).accepted.size();
-    reg.revoke_grantee("a" + std::to_string(revoke_at));
+    reg.revoke_grantee(std::string("a").append(std::to_string(revoke_at)));
     const std::size_t after = delegation::filter_by_reduction(store, reg).accepted.size();
     invalidated = before - after;
     benchmark::DoNotOptimize(after);

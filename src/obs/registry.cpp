@@ -119,7 +119,9 @@ double Histogram::Snapshot::percentile(double q) const {
   const auto value_of = [](std::size_t i) {
     return i == 0 ? 0.0 : 1.5 * std::ldexp(1.0, static_cast<int>(i) - 1);
   };
-  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total));
+  // q >= 1 asks for a count above the total: read the highest observation.
+  const auto target =
+      std::min(total - 1, static_cast<std::uint64_t>(q * static_cast<double>(total)));
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
     seen += counts[i];

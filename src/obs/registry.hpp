@@ -126,8 +126,8 @@ class Histogram {
     static double upper_bound(std::size_t i);
     /// Approximate q-quantile: the first bucket whose cumulative count
     /// exceeds q·total, read as its representative value (bucket 0 → 0,
-    /// bucket i → 1.5·2^(i-1)); past the end reads the last bucket, an
-    /// empty histogram reads 0.
+    /// bucket i → 1.5·2^(i-1)); q >= 1 reads the highest non-empty
+    /// bucket, an empty histogram reads 0.
     double percentile(double q) const;
   };
   /// Sums all shards.

@@ -1,5 +1,6 @@
 #include "runtime/engine.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <exception>
 #include <string>
@@ -9,6 +10,7 @@
 #include <pthread.h>
 #include <sched.h>
 #include <sys/syscall.h>
+#include <time.h>
 #include <unistd.h>
 #endif
 
@@ -117,17 +119,32 @@ constexpr std::uint32_t kNotified = 2;
 /// worker starts yielding the core.
 constexpr unsigned kSpinsBeforeYield = 64;
 
+/// A worker that started its batch less than this long ago counts as
+/// about to come back to the ring: a submit may leave a request to it
+/// rather than wake a parked peer (see "Idle parking" in engine.hpp).
+constexpr std::uint64_t kFreshBatchNs = 50'000;
+
+/// How long a worker parks while a peer is awake. It bounds how long a
+/// request deferred to that peer can wait if the peer wedges.
+constexpr std::chrono::milliseconds kParkTimeout{1};
+
 // Sleeping on a worker's park word. On Linux these are raw futex calls:
 // std::atomic::wait spins and calls sched_yield a few times before it
 // sleeps, which an engine that parks between requests would pay on every
-// request. futex_wait may return spuriously; callers re-check.
-void futex_wait(std::atomic<std::uint32_t>& word, std::uint32_t seen) {
+// request. futex_wait may return spuriously; callers re-check. A bounded
+// wait also returns after kParkTimeout.
+void futex_wait(std::atomic<std::uint32_t>& word, std::uint32_t seen, bool bounded) {
 #ifdef __linux__
   static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t));
+  constexpr timespec kTimeout{0, std::chrono::nanoseconds(kParkTimeout).count()};
   syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word), FUTEX_WAIT_PRIVATE, seen,
-          nullptr, nullptr, 0);
+          bounded ? &kTimeout : nullptr, nullptr, 0);
 #else
-  word.wait(seen, std::memory_order_acquire);
+  if (bounded) {
+    std::this_thread::yield();  // an early return is a spurious wake-up
+  } else {
+    word.wait(seen, std::memory_order_acquire);
+  }
 #endif
 }
 
@@ -193,6 +210,15 @@ DecisionEngine::DecisionEngine(SnapshotPublisher& publisher, EngineConfig config
   }
   idle_words_ = (config_.workers + 63) / 64;
   idle_ = std::make_unique<IdleWord[]>(idle_words_);
+  // Workers start registered as idle, so the first of them to park finds
+  // every peer idle and sleeps untimed like the rest: a new engine parks
+  // each worker once. A claim that lands before a worker's first park
+  // only makes that park return at once.
+  for (std::size_t w = 0; w < idle_words_; ++w) {
+    const std::size_t members = std::min<std::size_t>(64, config_.workers - w * 64);
+    idle_[w].all = members == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << members) - 1;
+    idle_[w].bits.store(idle_[w].all, std::memory_order_relaxed);
+  }
   park_ = std::make_unique<ParkWord[]>(config_.workers);
   threads_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
@@ -244,13 +270,15 @@ void DecisionEngine::submit(core::RequestContext request, Callback callback,
     }
   }
 
-  const CompletionStatus refused = admit();
+  std::uint64_t backlog = 0;
+  const CompletionStatus refused = admit(backlog);
   if (refused != CompletionStatus::kDecided) {
     // Deterministic admission control: the submitter learns immediately,
     // on its own thread, that this request was refused.
     complete(job, shed_result(refused), obs::Trace::kNoWorker);
   } else {
     enqueue(std::move(job));
+    wake_one(to_ns(now.time_since_epoch()), backlog);
   }
   // Free what the workers handed back here, on the thread whose malloc
   // cache the next request copy draws from. Two per submit drain the
@@ -258,13 +286,14 @@ void DecisionEngine::submit(core::RequestContext request, Callback callback,
   reclaim(2);
 }
 
-CompletionStatus DecisionEngine::admit() {
+CompletionStatus DecisionEngine::admit(std::uint64_t& backlog) {
   std::uint64_t word = admission_.load(std::memory_order_relaxed);
   do {
     if ((word & kClosedBit) != 0) return CompletionStatus::kShutdown;
     if (word >= config_.queue_capacity) return CompletionStatus::kShedQueueFull;
   } while (!admission_.compare_exchange_weak(word, word + 1, std::memory_order_seq_cst,
                                              std::memory_order_relaxed));
+  backlog = word + 1;
   return CompletionStatus::kDecided;
 }
 
@@ -277,13 +306,25 @@ void DecisionEngine::enqueue(Job&& job) {
   while (slot.sequence.load(std::memory_order_acquire) != pos) std::this_thread::yield();
   slot.job = std::move(job);
   slot.sequence.store(pos + 1, std::memory_order_release);
-  wake_one();
 }
 
-void DecisionEngine::wake_one() {
+void DecisionEngine::wake_one(std::uint64_t now_ns, std::uint64_t backlog) {
   // Admit-then-check, paired with the worker's register-then-recheck in
   // park() (see the header comment): the seq_cst CAS in admit() and the
-  // seq_cst reads of the mask here order the producer's side.
+  // seq_cst reads of the masks here order the producer's side.
+  std::size_t idle = 0;
+  bool bounded = true;  // every registered worker sleeps with a timeout
+  for (std::size_t w = 0; w < idle_words_; ++w) {
+    const std::uint64_t bits = idle_[w].bits.load(std::memory_order_seq_cst);
+    if (bits == 0) continue;
+    idle += static_cast<std::size_t>(std::popcount(bits));
+    if ((idle_[w].untimed.load(std::memory_order_seq_cst) & bits) != 0) bounded = false;
+  }
+  if (idle == 0) return;
+  if (bounded && backlog <= (config_.workers - idle) * config_.max_batch &&
+      batch_started_after(now_ns - std::min(now_ns, kFreshBatchNs))) {
+    return;  // deferred: a peer is about to come back, or a sleeper times out
+  }
   for (std::size_t w = 0; w < idle_words_; ++w) {
     std::atomic<std::uint64_t>& bits = idle_[w].bits;
     std::uint64_t seen = bits.load(std::memory_order_seq_cst);
@@ -298,6 +339,13 @@ void DecisionEngine::wake_one() {
   }
 }
 
+bool DecisionEngine::batch_started_after(std::uint64_t since_ns) const {
+  for (std::size_t i = 0; i < config_.workers; ++i) {
+    if (park_[i].batch_started_ns.load(std::memory_order_relaxed) > since_ns) return true;
+  }
+  return false;
+}
+
 void DecisionEngine::notify(std::size_t index) {
   std::atomic<std::uint32_t>& state = park_[index].state;
   if (state.exchange(kNotified, std::memory_order_acq_rel) == kWaiting) {
@@ -307,26 +355,47 @@ void DecisionEngine::notify(std::size_t index) {
 }
 
 void DecisionEngine::park(std::size_t index) {
-  std::atomic<std::uint64_t>& bits = idle_[index / 64].bits;
+  IdleWord& word = idle_[index / 64];
   const std::uint64_t bit = std::uint64_t{1} << (index % 64);
   std::atomic<std::uint32_t>& state = park_[index].state;
-  bits.fetch_or(bit, std::memory_order_seq_cst);
+  // No current batch: a worker that is claimed and still waking up is not
+  // about to come back to the ring, so no submit defers to it.
+  park_[index].batch_started_ns.store(0, std::memory_order_relaxed);
+  // The last worker to go idle sleeps untimed — an idle engine makes no
+  // wake-ups — and says so before its re-check, so a producer that admits
+  // after that re-check sees it.
+  const std::uint64_t idle = word.bits.fetch_or(bit, std::memory_order_seq_cst) | bit;
+  const bool untimed = idle == word.all && every_other_word_idle(index / 64);
+  if (untimed) word.untimed.fetch_or(bit, std::memory_order_seq_cst);
   if (admission_.load(std::memory_order_seq_cst) == 0) {
     std::uint32_t expected = kRunning;
     if (state.compare_exchange_strong(expected, kWaiting, std::memory_order_acq_rel,
                                       std::memory_order_acquire)) {
       metrics_.record_park(index);
+      // An untimed sleep ends on a notification; a bounded one also on
+      // its timeout (or spuriously), after which the worker looks again.
       do {
-        futex_wait(state, kWaiting);
-      } while (state.load(std::memory_order_acquire) == kWaiting);
+        futex_wait(state, kWaiting, /*bounded=*/!untimed);
+      } while (untimed && state.load(std::memory_order_acquire) == kWaiting);
     }
-    // kNotified now: this registration's claim, or a late one from an
-    // earlier registration (which costs one extra pass, nothing more).
+    // kNotified, or kWaiting after a bounded sleep ran out: either way
+    // this registration ends here. A late notification from an earlier
+    // registration costs one extra pass, nothing more.
     state.store(kRunning, std::memory_order_relaxed);
   }
+  if (untimed) word.untimed.fetch_and(~bit, std::memory_order_seq_cst);
   // A producer that claimed the bit did so earlier in the mask's
   // modification order, so its published slot is visible after this.
-  bits.fetch_and(~bit, std::memory_order_seq_cst);
+  word.bits.fetch_and(~bit, std::memory_order_seq_cst);
+}
+
+bool DecisionEngine::every_other_word_idle(std::size_t own) const {
+  for (std::size_t w = 0; w < idle_words_; ++w) {
+    if (w != own && idle_[w].bits.load(std::memory_order_relaxed) != idle_[w].all) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool DecisionEngine::give_back(Job& job) {
@@ -565,6 +634,9 @@ void DecisionEngine::process_batch(std::size_t index, Worker& worker) {
   worker.pending_keys.clear();
   const auto now = SteadyClock::now();
   const std::uint64_t now_ns = to_ns(now.time_since_epoch());
+  // After adoption: a worker rebuilding its replica is not about to come
+  // back to the ring, so submits do not defer to it meanwhile.
+  park_[index].batch_started_ns.store(now_ns, std::memory_order_relaxed);
   for (std::size_t i = 0; i < worker.jobs.size(); ++i) {
     Job& job = worker.jobs[i];
     if (obs::Trace* trace = job.trace.get()) {  // null on the untraced hot path

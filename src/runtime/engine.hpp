@@ -69,40 +69,67 @@
 //     the slot it wraps onto). A racing submitter is therefore either
 //     admitted — and later drained or discarded — or shed; never lost.
 //   * Idle parking: one bit per worker in an idle mask (64 workers per
-//     mask word) and one park word per worker (kRunning, kWaiting,
-//     kNotified), each on its own cache line. A worker that finds the
-//     ring empty and the admission word at 0 sets its bit with a seq_cst
-//     fetch_or and re-checks the admission word with a seq_cst load. If
-//     the word still reads 0 it CASes its park word kRunning -> kWaiting
-//     (a park) and futex-waits while the word reads kWaiting. Either way
-//     it then clears its bit, consumes any notification and retries.
-//     After publishing its slot, a producer reads the mask (seq_cst),
-//     claims one set bit with fetch_and and notifies that worker alone:
-//     it swaps the park word to kNotified and issues FUTEX_WAKE only if
-//     the swap read kWaiting. The Dekker argument: the producer's
-//     admission CAS precedes its mask read, and the worker's fetch_or
-//     precedes its re-check, all four seq_cst. If the worker's re-check
-//     read 0, it came before the admission in the single seq_cst order,
-//     so the mask read comes after the fetch_or and finds that bit set
-//     (or already claimed, which also ends in a notification). So a
-//     worker parks only where some producer will see it, and no job is
-//     stranded while a registered worker sleeps. A claimed worker's
-//     clearing fetch_and follows the claim in the mask's modification
-//     order, which makes the claimer's slot visible to its next pop. A
-//     bit is set once per registration and claimed at most once, so a
-//     wake always lands on a worker that registered as idle, and a
-//     second submit never wakes it again: FUTEX_WAKE calls <= parks.
-//     A producer that finds the mask empty makes no syscall. When the
-//     ring is empty but the admission word is not 0 (a job mid-publish,
-//     a peer that popped but has not yet subtracted, a closed engine
-//     still draining) the worker does not register: it retries, and
-//     yields only after a short spin, for a producer preempted
-//     mid-publish. A notification that lands after its worker already
-//     moved on makes that worker's next park return at once, once.
-//     Shutdown sets the closed bit and notifies every worker; a worker
-//     exits once the word reads exactly "closed, 0 admitted". A kDiscard
-//     shutdown empties the ring on the calling thread; a job a worker
-//     wins from it meanwhile is decided, as if popped before the close.
+//     mask word), a second mask marking which registered workers sleep
+//     untimed, and one park word per worker (kRunning, kWaiting,
+//     kNotified) beside the time it started its current batch (0 from
+//     its park until its next batch), each on its own cache line.
+//     Workers start registered as idle. A worker that finds the ring
+//     empty and the admission word at 0 clears its batch time and sets
+//     its idle bit with a seq_cst fetch_or. If that made every worker
+//     idle it sleeps untimed, and says so first: a seq_cst fetch_or of
+//     its untimed bit. Otherwise — a peer is awake — its sleep is
+//     bounded by kParkTimeout (1 ms). It then re-checks the
+//     admission word with a seq_cst load. If the word still reads 0 it
+//     CASes its park word kRunning -> kWaiting (a park) and futex-waits:
+//     untimed, while the word reads kWaiting; bounded, once. Either way
+//     it then clears its untimed and idle bits, consumes any notification
+//     and retries the ring. So an idle engine makes no periodic wake-ups:
+//     a new engine's workers all sleep untimed, and a bounded sleeper that
+//     times out once every peer is idle re-parks untimed.
+//     After publishing its slot, a producer reads both masks (seq_cst).
+//     It wakes nobody if no bit is set, and it defers — wakes nobody and
+//     leaves the request to an awake worker — when all of (a) some worker
+//     is inside a batch it started less than kFreshBatchNs (50 µs) before
+//     the `now` submit read, (b) the backlog
+//     is at most awake workers × max_batch, and (c) no registered worker
+//     sleeps untimed. Otherwise it claims the lowest set bit with fetch_and
+//     (so a lightly loaded engine keeps waking the same worker, whose
+//     caches are warm) and notifies that worker alone: it swaps
+//     the park word to kNotified and issues FUTEX_WAKE only if the swap
+//     read kWaiting.
+//     No job is stranded. The Dekker argument: the producer's admission
+//     CAS precedes its mask reads, and the worker's fetch_ors precede its
+//     re-check, all seq_cst. If the worker's re-check read 0, it came
+//     before the admission in the single seq_cst order, so the producer's
+//     reads come after both fetch_ors: it finds the idle bit set (or
+//     already claimed, which also ends in a notification), and, if the
+//     worker sleeps untimed, the untimed bit too. So an untimed sleeper
+//     is always seen, and never left asleep by a deferral. A deferred
+//     request is popped by an awake worker when it next reaches the ring
+//     or, if that worker wedges in a resolver or callback, by a bounded
+//     sleeper within kParkTimeout: (c) held, so every registered sleeper
+//     wakes by then on its own. Freshness only keeps the common case fast
+//     — a worker that started its batch long ago, is rebuilding its
+//     replica for a new snapshot (the batch time is stamped after
+//     adoption), or was claimed and is still waking up gets no deferrals.
+//     A claimed worker's clearing fetch_and follows the claim in the
+//     mask's modification order, which makes the claimer's slot visible
+//     to its next pop. A bit is set once per registration and claimed at
+//     most once, and a park word reads kWaiting once per park, so a wake
+//     always lands on a worker that registered as idle, a second submit
+//     never wakes it again, and FUTEX_WAKE calls <= parks (a bounded
+//     sleep that runs out is a park without a wake). A producer that
+//     finds the mask empty, or defers, makes no syscall. When the ring is
+//     empty but the admission word is not 0 (a job mid-publish, a peer
+//     that popped but has not yet subtracted, a closed engine still
+//     draining) the worker does not register: it retries, and yields only
+//     after a short spin, for a producer preempted mid-publish. A
+//     notification that lands after its worker already moved on makes
+//     that worker's next park return at once, once. Shutdown sets the
+//     closed bit and notifies every worker; a worker exits once the word
+//     reads exactly "closed, 0 admitted". A kDiscard shutdown empties the
+//     ring on the calling thread; a job a worker wins from it meanwhile
+//     is decided, as if popped before the close.
 //   * The return ring: bit_ceil(workers * max_batch) slots (at least 2)
 //     with the same Vyukov sequence scheme, carrying completed jobs back
 //     to the submitting side. After a batch's callbacks have run, the
@@ -119,11 +146,15 @@
 //     it.
 //
 // What a busy engine pays per submit: one admission CAS, one slot
-// publish, one mask read, and up to two return-ring pops. It issues a
-// FUTEX_WAKE only when the mask shows a parked or parking worker, which
-// on a lightly loaded engine (workers faster than submitters) is most
-// submits: parks and wakes are counted (EngineMetrics::Snapshot::parks,
-// wakes) so that cost is visible rather than assumed away.
+// publish, two reads of the idle-mask line, and up to two return-ring
+// pops. When a worker is registered as idle it also reads the workers'
+// batch times until one is fresh (one line per worker, written once per
+// batch). It issues a FUTEX_WAKE only when it cannot defer: no awake
+// worker started a batch within kFreshBatchNs, the backlog outgrows the
+// awake workers' batches, or a sleeper has no timeout. On a busy engine
+// most submits defer, so batches grow and few submits pay a syscall.
+// Parks and wakes are counted (EngineMetrics::Snapshot::parks, wakes) so
+// that cost is visible rather than assumed away.
 //
 // A completed job's callback object is destroyed later than it is
 // invoked: on a later submit's thread, or by shutdown().
@@ -485,15 +516,23 @@ class DecisionEngine {
   /// admitted requests not yet popped by a worker.
   static constexpr std::uint64_t kClosedBit = std::uint64_t{1} << 63;
 
-  /// Claims one admission under the exact bound; kDecided = admitted,
-  /// otherwise the shed status to complete with.
-  CompletionStatus admit();
-  /// Moves an admitted job into its ring slot and wakes one idle worker
-  /// if any is registered.
+  /// Claims one admission under the exact bound; kDecided = admitted
+  /// (`backlog` = admitted requests no worker has popped, this one
+  /// included), otherwise the shed status to complete with.
+  CompletionStatus admit(std::uint64_t& backlog);
+  /// Moves an admitted job into its ring slot.
   void enqueue(Job&& job);
-  /// Claims one set bit of the idle mask and notifies that worker; no-op
-  /// when no worker is registered as idle.
-  void wake_one();
+  /// After an enqueue read at `now_ns` left `backlog` queued: claims one
+  /// set bit of the idle mask and notifies that worker, unless no worker
+  /// is registered as idle or the request may wait for an awake one (the
+  /// deferral rule in "Idle parking").
+  void wake_one(std::uint64_t now_ns, std::uint64_t backlog);
+  /// True when some worker is inside a batch it started after `since_ns`
+  /// (steady-clock ns).
+  bool batch_started_after(std::uint64_t since_ns) const;
+  /// True when every idle-mask word except `own` has all its workers
+  /// registered.
+  bool every_other_word_idle(std::size_t own) const;
   /// Sets worker `index`'s park word to kNotified, and wakes it if it
   /// was asleep on the word.
   void notify(std::size_t index);
@@ -565,15 +604,23 @@ class DecisionEngine {
   alignas(64) std::atomic<std::uint64_t> dequeue_pos_{0};
   /// Idle mask, one bit per worker: read by every submit, written only
   /// when a worker registers, clears or is claimed — so its line stays
-  /// shared while the engine is busy.
+  /// shared while the engine is busy. `untimed` marks the registered
+  /// workers that sleep without a timeout; `all` has every bit of the
+  /// word that belongs to a worker.
   struct alignas(64) IdleWord {
     std::atomic<std::uint64_t> bits{0};
+    std::atomic<std::uint64_t> untimed{0};
+    std::uint64_t all = 0;
   };
   std::unique_ptr<IdleWord[]> idle_;
   std::size_t idle_words_ = 0;
-  /// Per-worker park word (see "Idle parking" in the header comment).
+  /// Per-worker park word (see "Idle parking" in the header comment) and
+  /// the steady-clock ns at which the worker started its current batch
+  /// (0 from its park until its next batch), which submits read to decide
+  /// whether to defer a wake.
   struct alignas(64) ParkWord {
     std::atomic<std::uint32_t> state{0};
+    std::atomic<std::uint64_t> batch_started_ns{0};
   };
   std::unique_ptr<ParkWord[]> park_;
   /// The return ring: completed jobs travelling back to submitters.

@@ -219,7 +219,7 @@ TEST_P(ConflictOracleSweep, AnalysisMatchesBruteForceOracle) {
   std::vector<core::Policy> policies;
   for (int i = 0; i < 6; ++i) {
     policies.push_back(make_policy(
-        "p" + std::to_string(i),
+        std::string("p").append(std::to_string(i)),
         rng() % 2 == 0 ? core::Effect::kPermit : core::Effect::kDeny,
         subjects[rng() % subjects.size()], resources[rng() % resources.size()],
         actions[rng() % actions.size()]));

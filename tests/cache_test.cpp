@@ -59,8 +59,8 @@ TEST(DecisionCacheTtlTest, CapacityBoundsEntries) {
   DecisionCache cache(ttl_config(clock, 1000, /*capacity=*/16));
   constexpr std::size_t kDistinct = 100;
   for (std::size_t i = 0; i < kDistinct; ++i) {
-    cache.insert(core::RequestContext::make("u" + std::to_string(i), "doc", "read"),
-                 Decision::permit());
+    const std::string subject = std::string("u").append(std::to_string(i));
+    cache.insert(core::RequestContext::make(subject, "doc", "read"), Decision::permit());
   }
   EXPECT_LE(cache.size(), 16u);
   const SeqlockCacheStats stats = cache.stats();

@@ -112,9 +112,8 @@ TEST(HistogramTest, PercentileReadsTheBucketRule) {
   EXPECT_EQ(s.percentile(0.89), 3.0);   // target 8: cumulative 9 at bucket 2
   EXPECT_EQ(s.percentile(0.9), 768.0);  // target 9: cumulative 10 at bucket 10
   EXPECT_EQ(s.percentile(0.99), 768.0);
-  // q = 1 asks for a count above the total: past the end reads the last
-  // bucket, 1.5 * 2^62.
-  EXPECT_EQ(s.percentile(1.0), 1.5 * 4611686018427387904.0);
+  // q = 1 reads the highest non-empty bucket.
+  EXPECT_EQ(s.percentile(1.0), 768.0);
 
   Histogram one;
   one.observe(1);  // bucket 1 -> 1.5

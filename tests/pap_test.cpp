@@ -813,7 +813,7 @@ TEST(SyndicationConstraintTest, MaxRulesFiltering) {
   big.policy_id = "big";
   for (int i = 0; i < 3; ++i) {
     core::Rule r;
-    r.id = "r" + std::to_string(i);
+    r.id = std::string("r").append(std::to_string(i));
     r.effect = core::Effect::kPermit;
     big.rules.push_back(std::move(r));
   }

@@ -271,15 +271,15 @@ TEST_P(RbacScaleSweep, DeepHierarchyChainsPermissions) {
   // A chain r0 <- r1 <- ... <- rN: the top role must inherit the bottom
   // role's permission regardless of depth.
   const int depth = GetParam();
+  const auto role = [](int i) { return std::string("r").append(std::to_string(i)); };
   RbacModel m;
   m.add_user("u");
-  for (int i = 0; i <= depth; ++i) m.add_role("r" + std::to_string(i));
+  for (int i = 0; i <= depth; ++i) m.add_role(role(i));
   for (int i = depth; i > 0; --i) {
-    ASSERT_TRUE(m.add_inheritance("r" + std::to_string(i),
-                                  "r" + std::to_string(i - 1)));
+    ASSERT_TRUE(m.add_inheritance(role(i), role(i - 1)));
   }
   ASSERT_TRUE(m.grant_permission("r0", {"base", "use"}));
-  ASSERT_TRUE(m.assign_user("u", "r" + std::to_string(depth)));
+  ASSERT_TRUE(m.assign_user("u", role(depth)));
   EXPECT_TRUE(m.user_has_permission("u", {"base", "use"}));
   EXPECT_EQ(m.authorized_roles("u").size(), static_cast<std::size_t>(depth + 1));
 }

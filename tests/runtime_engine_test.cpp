@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -447,8 +448,8 @@ TEST(DecisionEngineTest, VersionSweepReclaimsWithdrawnEntries) {
 
   constexpr std::size_t kEntries = 16;
   for (std::size_t i = 0; i < kEntries; ++i) {
-    core::RequestContext request =
-        core::RequestContext::make("u" + std::to_string(i), "res-1", "read");
+    core::RequestContext request = core::RequestContext::make(
+        std::string("u").append(std::to_string(i)), "res-1", "read");
     request.add(core::Category::kSubject, core::attrs::kRole,
                 core::AttributeValue("role-0"));
     EngineResult r = engine.submit(request).get();
@@ -849,6 +850,90 @@ TEST(DecisionEngineTest, WakesNeverExceedParksPlusWorkers) {
   const EngineMetrics::Snapshot m = engine.metrics();
   EXPECT_GT(m.parks, 0u);
   EXPECT_LE(m.wakes, m.parks + config.workers);
+}
+
+/// Wedges like GateResolver. Once armed, the next resolution first runs
+/// `on_armed` on the worker thread that is evaluating, a few µs after it
+/// started its batch.
+class ArmedGateResolver : public core::AttributeResolver {
+ public:
+  std::optional<core::Bag> resolve(core::Category category, const std::string& id,
+                                   const core::RequestContext& request) override {
+    if (id == "gate" && armed.exchange(false)) on_armed();
+    return gate.resolve(category, id, request);
+  }
+
+  GateResolver gate;
+  std::function<void()> on_armed;
+  std::atomic<bool> armed{false};
+};
+
+TEST(DecisionEngineTest, RequestDeferredToAPeerThatThenWedgesIsServedByABoundedSleeper) {
+  ArmedGateResolver resolver;
+  SnapshotPublisher publisher;
+  publisher.publish(make_gated_store());
+  EngineConfig config;
+  config.workers = 3;
+  config.max_batch = 1;
+  config.resolver = &resolver;
+  DecisionEngine engine(publisher, config);
+  core::RequestContext open = probe_request();  // never reaches the resolver
+  open.add(core::Category::kEnvironment, "gate", core::AttributeValue(true));
+
+  // One worker wedges for the whole test, so every later park is bounded.
+  auto held = engine.submit(probe_request());
+  resolver.gate.wait_until_blocked(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));  // its batch goes stale
+  // Two requests back to back wake both peers (the wedged worker is not
+  // fresh); each then parks while a peer is awake: bounded.
+  auto first = engine.submit(open);
+  auto second = engine.submit(open);
+  EXPECT_TRUE(first.get().decision.is_permit());
+  EXPECT_TRUE(second.get().decision.is_permit());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+  // A peer takes `trigger` and, just after starting that batch, submits
+  // `deferred`: the submit finds it fresh and the third worker in a
+  // bounded sleep, so it wakes nobody. The peer then wedges. Only the
+  // sleeper's timeout can serve `deferred` while the gate stays closed.
+  std::promise<std::future<EngineResult>> submitted;
+  resolver.on_armed = [&] { submitted.set_value(engine.submit(open)); };
+  resolver.armed = true;
+  auto trigger = engine.submit(probe_request());
+  std::future<EngineResult> deferred = submitted.get_future().get();
+  resolver.gate.wait_until_blocked(2);
+  const bool served =
+      deferred.wait_for(std::chrono::milliseconds(50)) == std::future_status::ready;
+  resolver.gate.open();
+  EXPECT_TRUE(served) << "the deferred request waited for a wedged worker";
+  EXPECT_TRUE(deferred.get().decision.is_permit());
+  EXPECT_TRUE(held.get().decision.is_permit());
+  EXPECT_TRUE(trigger.get().decision.is_permit());
+}
+
+TEST(DecisionEngineTest, IdleEngineMakesNoTimedWakeUps) {
+  SnapshotPublisher publisher;
+  publisher.publish(bench::make_policy_store(8));
+  EngineConfig config;
+  config.workers = 3;
+  DecisionEngine engine(publisher, config);
+
+  common::Rng rng(14);
+  std::vector<std::future<EngineResult>> burst;
+  for (int i = 0; i < 300; ++i) {
+    burst.push_back(engine.submit(bench::random_request(rng, 8, 3)));
+  }
+  for (auto& f : burst) ASSERT_TRUE(f.get().decided());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(engine.submit(bench::random_request(rng, 8, 3)).get().decided());
+  }
+
+  // Bounded sleepers re-park untimed once every worker is idle; from
+  // then on nothing wakes a worker.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::uint64_t parks = engine.metrics().parks;
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_EQ(engine.metrics().parks, parks) << "an idle engine kept waking its workers";
 }
 
 // ---------------------------------------------------------------------

@@ -6,19 +6,24 @@
 //   mdac-metrics [--requests N] [--workers N] [--sample N] [--traces]
 //
 // The workload drives a PAP (bounded audit ring) publishing into a
-// multi-worker DecisionEngine behind a two-level DecisionCache, floods
-// past the queue bound so the shed path fires, republishes mid-stream
-// so version evictions fire, and head-samples every `--sample`-th
-// decision. With --traces, sampled explain traces are rendered after
-// the exposition. The page then checks itself: it must carry a family
-// from each of the engine, the cache, the tracer and the PAP, and
-// mdac_engine_submitted_total must equal --requests and the decided
-// plus shed totals. Exit status: 0 on success, 1 when that check
-// fails, 2 on usage errors.
+// multi-worker DecisionEngine behind a two-level DecisionCache. It holds
+// every worker inside a completion callback and submits a burst past the
+// queue bound, so the shed path fires the same way on every run; then it
+// streams the rest, republishes mid-stream so version evictions fire,
+// and head-samples every `--sample`-th decision. With --traces, sampled
+// explain traces are rendered after the exposition. The page then
+// checks itself: it must carry a family from each of the engine, the
+// cache, the tracer and the PAP, mdac_engine_submitted_total must equal
+// --requests and the decided plus shed totals, and the burst must show
+// as queue-full sheds. --requests must cover the burst: at least
+// --workers + 80. Exit status: 0 on success, 1 when that check fails, 2
+// on usage errors.
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/decision_cache.hpp"
@@ -35,10 +40,15 @@ using namespace mdac;
 
 namespace {
 
+/// The engine's admission bound, and how far past it the burst goes.
+constexpr std::size_t kQueueCapacity = 64;
+constexpr std::size_t kOverflow = 16;
+
 int usage() {
   std::fprintf(stderr,
                "usage: mdac-metrics [--requests N] [--workers N] [--sample N] "
-               "[--traces]\n");
+               "[--traces]\n       (N requests >= workers + %zu)\n",
+               kQueueCapacity + kOverflow);
   return 2;
 }
 
@@ -72,6 +82,9 @@ std::vector<std::string> check_page(const std::string& page, std::size_t request
   if (completed != submitted) {
     failures.push_back("decided + sheds " + std::to_string(completed) +
                        " != mdac_engine_submitted_total " + std::to_string(submitted));
+  }
+  if (!(sample(page, "mdac_engine_sheds_total{cause=\"queue-full\"}") > 0)) {
+    failures.push_back("no mdac_engine_sheds_total{cause=\"queue-full\"} from the burst");
   }
   return failures;
 }
@@ -144,7 +157,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (requests == 0 || workers == 0) return usage();
+  if (workers == 0 || requests < workers + kQueueCapacity + kOverflow) return usage();
 
   // PAP with a bounded audit ring — small enough that the republication
   // below wraps it, so mdac_pap_dropped_audit_entries_total is live.
@@ -163,16 +176,34 @@ int main(int argc, char** argv) {
       cache::DecisionCache::TwoLevelConfig{.capacity = 4096});
   runtime::EngineConfig config;
   config.workers = workers;
-  config.queue_capacity = 64;
+  config.queue_capacity = kQueueCapacity;
   config.l1_capacity = 256;
   config.tracer = &tracer;
   runtime::DecisionEngine engine(snapshots, config, &cache);
 
   const char* roles[] = {"doctor", "auditor", "intern"};
+  // Hold each worker in turn inside a completion callback. A held worker
+  // pops nothing, so of the burst below exactly kQueueCapacity are
+  // admitted and kOverflow are shed queue-full, however fast the host.
+  std::promise<void> release;
+  const std::shared_future<void> gate = release.get_future().share();
+  std::atomic<std::size_t> held{0};
+  for (std::size_t w = 0; w < workers; ++w) {
+    engine.submit(request_as("doctor", 0), [&held, gate](runtime::EngineResult) {
+      held.fetch_add(1, std::memory_order_release);
+      gate.wait();
+    });
+    while (held.load(std::memory_order_acquire) != w + 1) std::this_thread::yield();
+  }
   std::vector<std::future<runtime::EngineResult>> inflight;
   inflight.reserve(requests);
-  for (std::size_t i = 0; i < requests; ++i) {
-    if (i == requests / 2) {
+  std::size_t i = workers;
+  for (; i < workers + kQueueCapacity + kOverflow; ++i) {
+    inflight.push_back(engine.submit(request_as(roles[i % 3], static_cast<int>(i % 17))));
+  }
+  release.set_value();
+  for (const std::size_t republish_at = (i + requests) / 2; i < requests; ++i) {
+    if (i == republish_at) {
       // Mid-stream republication: auditors gain access, version
       // evictions and snapshot adoptions fire.
       pap.submit(core::node_to_string(records_policy(true)), "admin");
