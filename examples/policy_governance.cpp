@@ -69,28 +69,29 @@ int main() {
             << report.warning_count() << " warnings\n\n";
 
   std::cout << "=== 2. Static modality-conflict analysis ===\n";
-  std::vector<const core::Policy*> policies;
-  for (const auto* node : store.top_level()) {
-    if (const auto* p = dynamic_cast<const core::Policy*>(node)) {
-      policies.push_back(p);
-    }
-  }
-  const analysis::AnalysisResult result = analysis::analyse(policies);
-  for (const analysis::Conflict& c : result.conflicts) {
-    std::cout << "  CONFLICT: " << result.atoms[c.permit_index].policy_id
-              << " permits what " << result.atoms[c.deny_index].policy_id
+  analysis::AnalyzerOptions conflicts_only;
+  conflicts_only.shadowing = false;
+  conflicts_only.references = false;
+  conflicts_only.types = false;
+  conflicts_only.dead_code = false;
+  const analysis::AnalysisReport analysed = analysis::analyse_store(store, conflicts_only);
+  std::size_t conflicts = 0;
+  for (const analysis::Finding& f : analysed.findings) {
+    if (f.code != "modality-conflict") continue;
+    ++conflicts;
+    std::cout << "  CONFLICT: " << f.root_id << " permits what " << f.other_root_id
               << " denies";
-    if (!c.witness.empty()) {
+    if (!f.witness.empty()) {
       std::cout << "  (witness:";
-      for (const auto& [key, value] : c.witness) {
+      for (const auto& [key, value] : f.witness) {
         std::cout << " " << key.second << "=" << value;
       }
       std::cout << ")";
     }
-    if (c.approximate) std::cout << "  [approximate]";
+    if (f.approximate) std::cout << "  [approximate]";
     std::cout << "\n";
   }
-  std::cout << "  => " << result.conflicts.size()
+  std::cout << "  => " << conflicts
             << " conflict(s); the deployed deny-overrides root resolves them "
                "in favour of deny\n\n";
 
@@ -98,11 +99,17 @@ int main() {
   const std::vector<analysis::SodMetaPolicy> metas{
       {"submit-vs-approve", "purchase-order", "submit", "purchase-order",
        "approve"}};
-  const auto violations = analysis::check_sod(result.atoms, metas);
+  std::vector<analysis::Atom> atoms;
+  for (const auto* node : store.top_level()) {
+    std::vector<analysis::Atom> extracted = analysis::extract_atoms(*node);
+    atoms.insert(atoms.end(), std::make_move_iterator(extracted.begin()),
+                 std::make_move_iterator(extracted.end()));
+  }
+  const auto violations = analysis::check_sod(atoms, metas);
   for (const auto& v : violations) {
     std::cout << "  SoD VIOLATION '" << metas[v.meta_index].name << "': "
-              << result.atoms[v.permit_a_index].policy_id << " + "
-              << result.atoms[v.permit_b_index].policy_id << " for subject(s)";
+              << atoms[v.permit_a_index].policy_id << " + "
+              << atoms[v.permit_b_index].policy_id << " for subject(s)";
     if (v.overlapping_subjects.empty()) {
       std::cout << " <anyone>";
     } else {

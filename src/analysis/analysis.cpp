@@ -5,7 +5,6 @@
 
 #include "analysis/passes.hpp"
 #include "core/combining.hpp"
-#include "core/compiled.hpp"
 #include "core/evaluation.hpp"
 #include "core/functions.hpp"
 #include "core/request.hpp"
@@ -141,20 +140,40 @@ bool overlap_witness(const std::map<AttributeKey, std::set<std::string>>& a,
   return true;
 }
 
+/// True if the two sorted sets share a value.
+bool intersects(const std::set<std::string>& a, const std::set<std::string>& b) {
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    const int order = i->compare(*j);
+    if (order == 0) return true;
+    if (order < 0) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
+// One merge walk over both key-sorted maps: the conflict index runs this
+// on every candidate pair, so it avoids a tree descent per key.
 bool overlaps(const Constraints& a, const Constraints& b) {
-  for (const auto& [key, a_values] : a) {
-    const auto b_it = b.find(key);
-    if (b_it == b.end()) continue;
-    bool found = false;
-    for (const std::string& v : a_values) {
-      if (b_it->second.count(v) > 0) {
-        found = true;
-        break;
-      }
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    const auto order = i->first <=> j->first;
+    if (order < 0) {
+      ++i;
+    } else if (order > 0) {
+      ++j;
+    } else {
+      if (!intersects(i->second, j->second)) return false;
+      ++i;
+      ++j;
     }
-    if (!found) return false;
   }
   return true;
 }
@@ -444,11 +463,10 @@ void only_one_applicable_overlaps(const SetInfo& si, ReportBuilder* rb) {
 }
 
 // ---------------------------------------------------------------------
-// Pass: cross-root modality conflicts (bucketed)
+// Pass: cross-root modality conflicts
 // ---------------------------------------------------------------------
 
 void conflict_finding(const Atom& a, const Atom& b, ReportBuilder* rb) {
-  if (!overlaps(a.constraints, b.constraints)) return;
   const Atom& permit = a.effect == core::Effect::kPermit ? a : b;
   const Atom& deny = a.effect == core::Effect::kPermit ? b : a;
   const bool approx = a.approximate || b.approximate;
@@ -468,70 +486,6 @@ void conflict_finding(const Atom& a, const Atom& b, ReportBuilder* rb) {
     return f;
   });
 }
-
-namespace {
-
-bool conflict_candidates(const Atom& a, const Atom& b) {
-  return a.effect != b.effect && a.root_id != b.root_id;
-}
-
-/// Pairwise over all cross-root opposite-effect atoms, partitioned by
-/// the most discriminating singleton equality constraint so
-/// domain-structured corpora (thousands of policies, each pinned to one
-/// domain/role/resource) stay far from quadratic: two atoms pinned to
-/// different values of the partition key can never overlap.
-void cross_root_conflicts(const std::vector<Atom>& atoms, ReportBuilder* rb) {
-  std::map<AttributeKey, std::size_t> singleton_counts;
-  for (const Atom& atom : atoms) {
-    for (const auto& [key, values] : atom.constraints) {
-      if (values.size() == 1) ++singleton_counts[key];
-    }
-  }
-  const AttributeKey* partition_key = nullptr;
-  std::size_t best = 0;
-  for (const auto& [key, n] : singleton_counts) {
-    if (n > best) {
-      best = n;
-      partition_key = &key;
-    }
-  }
-
-  std::map<std::string, std::vector<const Atom*>> buckets;
-  std::vector<const Atom*> global;
-  for (const Atom& atom : atoms) {
-    const auto it = partition_key != nullptr
-                        ? atom.constraints.find(*partition_key)
-                        : atom.constraints.end();
-    if (it != atom.constraints.end() && it->second.size() == 1) {
-      buckets[*it->second.begin()].push_back(&atom);
-    } else {
-      global.push_back(&atom);
-    }
-  }
-
-  const auto compare_within = [&](const std::vector<const Atom*>& v) {
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      for (std::size_t j = i + 1; j < v.size(); ++j) {
-        if (conflict_candidates(*v[i], *v[j])) conflict_finding(*v[i], *v[j], rb);
-      }
-    }
-  };
-  const auto compare_across = [&](const std::vector<const Atom*>& a,
-                                  const std::vector<const Atom*>& b) {
-    for (const Atom* x : a) {
-      for (const Atom* y : b) {
-        if (conflict_candidates(*x, *y)) conflict_finding(*x, *y, rb);
-      }
-    }
-  };
-  for (const auto& [value, bucket] : buckets) {
-    compare_within(bucket);
-    compare_across(bucket, global);
-  }
-  compare_within(global);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------
 // Pass: references
@@ -603,40 +557,6 @@ void reference_cycles(const ReferenceGraph& edges, ReportBuilder* rb) {
     }
   }
 }
-
-namespace {
-
-void reference_pass(const Collection& col,
-                    const std::vector<AnalysisInput>& roots,
-                    const AnalyzerOptions& options, ReportBuilder* rb) {
-  std::set<std::string> root_ids;
-  for (const AnalysisInput& input : roots) {
-    if (input.node != nullptr) root_ids.insert(input.node->id());
-  }
-  const auto resolves = [&](const std::string& id) {
-    if (options.resolves) return options.resolves(id);
-    return root_ids.count(id) > 0;
-  };
-
-  for (const RefEdge& edge : col.refs) {
-    if (resolves(edge.ref_id)) continue;
-    reference_edge_finding(edge, options.withdrawn && options.withdrawn(edge.ref_id),
-                           rb);
-  }
-
-  // Edges restricted to roots: a reference to an id outside the analysed
-  // set was reported above or resolves outside the cycle-relevant graph.
-  ReferenceGraph edges;
-  for (const AnalysisInput& input : roots) {
-    if (input.node == nullptr) continue;
-    for (const std::string& ref : core::referenced_policy_ids(*input.node)) {
-      if (root_ids.count(ref) > 0) edges[input.node->id()].push_back(ref);
-    }
-  }
-  reference_cycles(edges, rb);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------
 // Pass: types + dead code (expression walks)
@@ -910,7 +830,7 @@ void compile_findings(const std::string& root_id,
 using namespace detail;
 
 // ---------------------------------------------------------------------
-// Atom extraction (legacy flat API + tree API)
+// Atom extraction
 // ---------------------------------------------------------------------
 
 std::vector<Atom> extract_atoms(const core::PolicyTreeNode& node) {
@@ -921,38 +841,6 @@ std::vector<Atom> extract_atoms(const core::PolicyTreeNode& node) {
 
 std::vector<Atom> extract_atoms(const core::Policy& policy) {
   return extract_atoms(static_cast<const core::PolicyTreeNode&>(policy));
-}
-
-std::vector<Conflict> find_modality_conflicts(const std::vector<Atom>& atoms) {
-  std::vector<Conflict> out;
-  for (std::size_t i = 0; i < atoms.size(); ++i) {
-    for (std::size_t j = i + 1; j < atoms.size(); ++j) {
-      const Atom& a = atoms[i];
-      const Atom& b = atoms[j];
-      if (a.effect == b.effect) continue;
-      std::map<AttributeKey, std::string> witness;
-      if (!overlap_witness(a.constraints, b.constraints, &witness)) continue;
-      Conflict conflict;
-      conflict.permit_index = a.effect == core::Effect::kPermit ? i : j;
-      conflict.deny_index = a.effect == core::Effect::kPermit ? j : i;
-      conflict.witness = std::move(witness);
-      conflict.approximate = a.approximate || b.approximate;
-      out.push_back(std::move(conflict));
-    }
-  }
-  return out;
-}
-
-AnalysisResult analyse(const std::vector<const core::Policy*>& policies) {
-  AnalysisResult result;
-  for (const core::Policy* p : policies) {
-    std::vector<Atom> extracted = extract_atoms(*p);
-    result.atoms.insert(result.atoms.end(),
-                        std::make_move_iterator(extracted.begin()),
-                        std::make_move_iterator(extracted.end()));
-  }
-  result.conflicts = find_modality_conflicts(result.atoms);
-  return result;
 }
 
 // ---------------------------------------------------------------------
@@ -966,67 +854,20 @@ bool is_unreachability_code(const std::string& code) {
 
 AnalysisReport analyse_roots(const std::vector<AnalysisInput>& roots,
                              const AnalyzerOptions& options) {
-  ReportBuilder rb(options.max_findings_per_pass);
-
-  Collection col;
+  IncrementalAnalysis index;
   for (const AnalysisInput& input : roots) {
     if (input.node == nullptr) continue;
-    collect_node(*input.node, input.node->id(), input.node->id(),
-                 ExtractedTarget{}, &col);
+    index.commit(index.stage(*input.node, options), options);
+    index.set_compiled(input.node->id(), input.compiled);
   }
-
-  if (options.shadowing) {
-    for (const PolicyInfo& pi : col.policies) shadow_rules(pi, &rb);
-    for (const SetInfo& si : col.sets) shadow_set_children(si, &rb);
-  }
-  if (options.conflicts) {
-    for (const SetInfo& si : col.sets) only_one_applicable_overlaps(si, &rb);
-    cross_root_conflicts(col.atoms, &rb);
-  }
-  if (options.references) reference_pass(col, roots, options, &rb);
-
-  // Each root's walked policies, in walk order (a root id given twice
-  // names the policies of both walks, as a filter over all of them did).
-  std::map<std::string, std::vector<const PolicyInfo*>> policies_of;
-  if (options.dead_code) {
-    for (const PolicyInfo& pi : col.policies) policies_of[pi.root_id].push_back(&pi);
-  }
-  for (const AnalysisInput& input : roots) {
-    if (input.node == nullptr) continue;
-    const std::string root_id = input.node->id();
-    if (options.types || options.dead_code) {
-      types_and_dead_code(*input.node, root_id, root_id, options.types,
-                          options.dead_code, &rb);
-    }
-    if (options.dead_code) {
-      // Provably never-applicable rules: an exact target chain whose
-      // intersection admits no value at all.
-      for (const PolicyInfo* pi : policies_of[root_id]) never_applicable_rules(*pi, &rb);
-    }
-    if (options.vocabulary != nullptr) {
-      vocabulary_findings(root_id, core::referenced_attribute_names(*input.node),
-                          *options.vocabulary, &rb);
-    }
-    if (input.compiled != nullptr) {
-      compile_findings(root_id, input.compiled->diagnostics(), &rb);
-    }
-  }
-  return rb.finish();
+  return index.report(options);
 }
 
 AnalysisReport analyse_store(const core::PolicyStore& store,
                              const AnalyzerOptions& options) {
   std::vector<AnalysisInput> roots;
-  std::vector<std::shared_ptr<const core::CompiledPolicyTree>> keep_alive;
   for (const core::PolicyTreeNode* node : store.top_level()) {
-    AnalysisInput input;
-    input.node = node;
-    auto compiled = store.compiled(node->id());
-    if (compiled != nullptr) {
-      keep_alive.push_back(compiled);
-      input.compiled = keep_alive.back().get();
-    }
-    roots.push_back(input);
+    roots.push_back({node, store.compiled(node->id())});
   }
   AnalyzerOptions opts = options;
   if (!opts.resolves) {

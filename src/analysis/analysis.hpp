@@ -104,29 +104,6 @@ std::vector<Atom> extract_atoms(const core::Policy& policy);
 /// referents are analysed as their own roots).
 std::vector<Atom> extract_atoms(const core::PolicyTreeNode& node);
 
-struct Conflict {
-  /// Indices into the atom vector the analysis ran over.
-  std::size_t permit_index = 0;
-  std::size_t deny_index = 0;
-  /// A concrete witness (one value per constrained attribute) on which
-  /// both atoms apply.
-  std::map<AttributeKey, std::string> witness;
-  bool approximate = false;  // involves an approximate atom
-};
-
-/// All pairwise modality conflicts among `atoms` (every opposite-effect
-/// overlapping pair, regardless of root — the legacy cross-policy
-/// analysis shape).
-std::vector<Conflict> find_modality_conflicts(const std::vector<Atom>& atoms);
-
-struct AnalysisResult {
-  std::vector<Atom> atoms;
-  std::vector<Conflict> conflicts;  // indices refer into `atoms`
-};
-
-/// Convenience: extract + analyse a set of policies.
-AnalysisResult analyse(const std::vector<const core::Policy*>& policies);
-
 // ---------------------------------------------------------------------
 // The linter
 // ---------------------------------------------------------------------
@@ -159,10 +136,13 @@ struct AnalyzerOptions {
 /// (whose compile diagnostics are folded into the report).
 struct AnalysisInput {
   const core::PolicyTreeNode* node = nullptr;
-  const core::CompiledPolicyTree* compiled = nullptr;
+  std::shared_ptr<const core::CompiledPolicyTree> compiled;
 };
 
-/// Runs every enabled pass over `roots` and returns the report.
+/// Runs every enabled pass over `roots` and returns the report: each
+/// root is staged and committed, in order, into a fresh
+/// IncrementalAnalysis, whose report() is the result. A later root
+/// replaces an earlier root of the same id, as PolicyStore::add does.
 AnalysisReport analyse_roots(const std::vector<AnalysisInput>& roots,
                              const AnalyzerOptions& options = {});
 
@@ -173,26 +153,26 @@ AnalysisReport analyse_store(const core::PolicyStore& store,
 
 /// The analyser's state for a corpus that changes one root at a time
 /// (the PAP's issued trees), so a change costs what it touches instead
-/// of a whole-corpus analyse_roots run:
+/// of re-analysing the whole corpus:
 ///   * per root, the results that depend on that root alone: atoms,
 ///     shadowing, only-one-applicable, types and dead-code findings, its
 ///     reference edges, the attribute names the vocabulary pass checks,
 ///     and the compiled artifact whose diagnostics it reports;
 ///   * a persistent conflict index of every root's atoms, bucketed by
 ///     effect and by the value of the most common singleton equality
-///     constraint (unpinned atoms sit in a global list), as
-///     analyse_roots' conflict pass partitions them; a candidate's atoms
-///     are checked against their own bucket and the global list only, and
-///     every overlapping pair is kept as a link on both roots;
+///     constraint (unpinned atoms sit in a global list); a candidate's
+///     atoms are checked against their own bucket and the global list
+///     only, and every overlapping pair is kept as a link on both roots;
 ///   * the reverse reference edges (referenced id -> referring roots):
 ///     when an id joins or leaves the corpus, or the caller reports that
 ///     its status changed (refresh_references), only the roots referring
 ///     to it re-run their reference lints.
-/// After any sequence of changes, report() equals analyse_roots() over
-/// the current roots (each with the artifact last given to
-/// set_compiled) and the same options, compared as sets of findings;
-/// with a binding cap the totals and `suppressed` are equal and every
-/// kept finding is one analyse_roots could have kept.
+/// report() is the corpus report, and analyse_roots is defined as this
+/// fold over a fresh index. After any sequence of changes, report()
+/// equals analyse_roots over the current roots (each with the artifact
+/// last given to set_compiled) and the same options as a set of
+/// findings; with a binding cap the totals and `suppressed` are equal,
+/// and which conflicts are kept follows commit order.
 ///
 /// Every call must pass options with the same pass switches (the cached
 /// per-root results were computed with them); the cap is applied by

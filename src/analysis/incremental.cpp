@@ -1,7 +1,8 @@
 // IncrementalAnalysis: the analyser's state kept between changes to a
 // corpus, so that issuing, replacing or withdrawing one root costs what
 // that root touches (its bucket of the conflict index, the roots on its
-// reference edges) instead of a whole-corpus analyse_roots run.
+// reference edges) instead of re-analysing the whole corpus.
+// analyse_roots is this index filled one root at a time.
 #include <algorithm>
 #include <stdexcept>
 #include <tuple>
@@ -31,7 +32,7 @@ struct IncrementalAnalysis::Root {
   std::string id;
   /// Commit order: a link is reported from the side committed first.
   std::uint64_t serial = 0;
-  std::vector<Atom> atoms;  // satisfiable atoms, as analyse_roots collects them
+  std::vector<Atom> atoms;  // satisfiable atoms, as collect_node yields them
   /// Shadowing, only-one-applicable, types and dead-code findings.
   std::vector<Finding> findings;
   std::vector<RefEdge> refs;
@@ -245,7 +246,7 @@ IncrementalAnalysis::Staged IncrementalAnalysis::stage(
   Root& root = *staged.root_;
   root.id = node.id();
 
-  // The per-root passes, in analyse_roots' order, uncapped.
+  // The per-root passes, uncapped.
   Collection col;
   collect_node(node, root.id, root.id, ExtractedTarget{}, &col);
   ReportBuilder rb(0);
@@ -399,6 +400,7 @@ AnalysisReport IncrementalAnalysis::report(const AnalyzerOptions& options) const
     for (const auto& [id, root] : index_->roots) {
       for (const Link& link : root->links) {
         if (link.other->serial < root->serial) continue;  // reported from there
+        // A link is a proven overlap: stage() tested it.
         conflict_finding(root->atoms[link.mine], link.other->atoms[link.theirs], &rb);
       }
     }

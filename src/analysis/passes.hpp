@@ -1,7 +1,7 @@
 // Internal to mdac::analysis: the equality-fragment projection, the
-// per-root collection and the pass functions that both the whole-corpus
-// linter (analyse_roots, analysis.cpp) and the incremental index
-// (IncrementalAnalysis, incremental.cpp) run. Not part of the public API.
+// per-root collection and the pass functions (analysis.cpp) that the
+// analyser's index (IncrementalAnalysis, incremental.cpp) runs. Not part
+// of the public API.
 #pragma once
 
 #include <array>
@@ -167,7 +167,8 @@ void compile_findings(const std::string& root_id,
 // --- cross-root passes ---------------------------------------------------
 
 /// The modality-conflict finding for opposite-effect atoms of different
-/// roots, if they overlap. The finding does not depend on argument order.
+/// roots that overlap (the caller has proven it). The finding does not
+/// depend on argument order.
 void conflict_finding(const Atom& a, const Atom& b, ReportBuilder* rb);
 
 /// "reference-dangling" / "reference-withdrawn" for one edge that does

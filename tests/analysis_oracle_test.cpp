@@ -9,9 +9,10 @@
 //      silently missed conflicts are not);
 //   3. lifecycle equivalence — over seeded issue / update / withdraw /
 //      gate-refused sequences, the incrementally maintained report
-//      (IncrementalAnalysis, and PolicyRepository::lint_report on top of
-//      it) equals a fresh analyse_roots over the same roots after every
-//      step.
+//      (IncrementalAnalysis, PolicyRepository::lint_report on top of it,
+//      and analyse_roots, which folds the roots into a fresh index)
+//      equals the whole-corpus reference analyser in tests/support over
+//      the same roots after every step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include "core/functions.hpp"
 #include "core/serialization.hpp"
 #include "pap/repository.hpp"
+#include "support/batch_analysis.hpp"
 
 namespace mdac::analysis {
 namespace {
@@ -338,9 +340,37 @@ void add_reference_roots(VariantPool* pool, const std::vector<std::string>& targ
   loop_b.push_back(reference_set("loop-b", {targets[1]}));
 }
 
+/// Roots the conflict index's partition key cannot pin, so its global
+/// list takes part: "wide" admits two domains and two roles (whichever
+/// of the two keys partitions, its atom is not a singleton), and its
+/// variants flip it to a permit or drop its target altogether.
+void add_unpinned_roots(VariantPool* pool) {
+  core::Policy wide;
+  wide.policy_id = "wide";
+  wide.target_spec.require_any(core::Category::kResource, core::attrs::kResourceDomain,
+                               {core::AttributeValue("domain-0"),
+                                core::AttributeValue("domain-1")});
+  wide.target_spec.require_any(core::Category::kSubject, core::attrs::kRole,
+                               {core::AttributeValue("role-0"),
+                                core::AttributeValue("role-1")});
+  core::Rule deny;
+  deny.id = "wide:deny-read";
+  deny.effect = core::Effect::kDeny;
+  core::Target t;
+  t.require(core::Category::kAction, core::attrs::kActionId, core::AttributeValue("read"));
+  deny.target = std::move(t);
+  wide.rules.push_back(std::move(deny));
+  core::Policy everyone = wide.clone();
+  everyone.target_spec = core::Target{};
+  auto& variants = (*pool)["wide"];
+  variants.push_back(flipped(wide));
+  variants.push_back(std::make_unique<core::Policy>(std::move(everyone)));
+  variants.insert(variants.begin(), std::make_unique<core::Policy>(std::move(wide)));
+}
+
 /// Drives one seeded lifecycle through both the bare index and a
-/// lint-gated PolicyRepository, checking each against a fresh
-/// analyse_roots after every step.
+/// lint-gated PolicyRepository, checking each (and analyse_roots) against
+/// the reference analyser after every step.
 class Lifecycle {
  public:
   static constexpr std::size_t kCap = 2;
@@ -403,14 +433,23 @@ class Lifecycle {
 
   void check(const std::string& step) {
     std::vector<AnalysisInput> inputs;
-    for (const auto& [id, root] : current_) inputs.push_back({root.first, root.second.get()});
-    const AnalysisReport fresh = analyse_roots(inputs, options_);
+    for (const auto& [id, root] : current_) inputs.push_back({root.first, root.second});
+    const AnalysisReport fresh = test::batch_analyse_roots(inputs, options_);
     expect_same_findings(index_.report(options_), fresh, step);
+    expect_same_findings(analyse_roots(inputs, options_), fresh, step + " (fold)");
 
     // With a binding cap, totals and suppression agree and every kept
     // finding is a real one.
-    const AnalysisReport fresh_capped = analyse_roots(inputs, capped_);
-    const AnalysisReport capped = index_.report(capped_);
+    const AnalysisReport fresh_capped = test::batch_analyse_roots(inputs, capped_);
+    expect_capped_agrees(index_.report(capped_), fresh_capped, fresh, step);
+    expect_capped_agrees(analyse_roots(inputs, capped_), fresh_capped, fresh,
+                         step + " (fold)");
+    if (fresh_capped.suppressed > 0) ++capped_steps_;
+  }
+
+  static void expect_capped_agrees(const AnalysisReport& capped,
+                                   const AnalysisReport& fresh_capped,
+                                   const AnalysisReport& fresh, const std::string& step) {
     EXPECT_EQ(capped.error_count, fresh_capped.error_count) << step;
     EXPECT_EQ(capped.warning_count, fresh_capped.warning_count) << step;
     EXPECT_EQ(capped.info_count, fresh_capped.info_count) << step;
@@ -428,7 +467,6 @@ class Lifecycle {
                              return finding_fields(a) == finding_fields(b);
                            }))
         << step;
-    if (fresh_capped.suppressed > 0) ++capped_steps_;
   }
 
   void issue_in_repository(const core::PolicyTreeNode& node, const std::string& step) {
@@ -452,7 +490,7 @@ class Lifecycle {
     std::vector<AnalysisInput> inputs;
     for (const std::string& id : repo_.policy_ids()) {
       if (const auto artifact = repo_.compiled(id)) {
-        inputs.push_back({&artifact->source(), artifact.get()});
+        inputs.push_back({&artifact->source(), artifact});
       }
     }
     AnalyzerOptions options;
@@ -462,7 +500,7 @@ class Lifecycle {
     options.withdrawn = [this](const std::string& id) {
       return repo_.latest(id) != nullptr && repo_.issued(id) == nullptr;
     };
-    const AnalysisReport fresh = analyse_roots(inputs, options);
+    const AnalysisReport fresh = test::batch_analyse_roots(inputs, options);
     ASSERT_EQ(fresh.suppressed, 0u) << step << ": corpus outgrew the repository's cap";
     expect_same_findings(*report, fresh, step + " (repo)");
   }
@@ -542,6 +580,7 @@ TEST_P(AnalysisOracle, FederationLifecycleMatchesFreshAnalysis) {
     ids.push_back(variants.front()->id());
   }
   add_reference_roots(&pool, ids);
+  add_unpinned_roots(&pool);
   run_lifecycle(pool, static_cast<std::uint64_t>(GetParam()), 80);
 }
 
@@ -586,6 +625,7 @@ TEST_P(AnalysisOracle, SetTreeLifecycleMatchesFreshAnalysis) {
     ids.push_back(mirrors.front()->id());
   }
   add_reference_roots(&pool, ids);
+  add_unpinned_roots(&pool);
   run_lifecycle(pool, static_cast<std::uint64_t>(GetParam()) + 100, 60);
 }
 

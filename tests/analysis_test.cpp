@@ -141,19 +141,40 @@ TEST(AtomExtractionTest, SetTargetsIntersectDownTheTree) {
 }
 
 // ---------------------------------------------------------------------
-// Modality conflicts (legacy flat API, migrated)
+// Modality conflicts between single-policy roots
 // ---------------------------------------------------------------------
+
+/// analyse_roots over `policies`, each its own root, nothing capped.
+AnalysisReport analyse_policies(const std::vector<const core::Policy*>& policies) {
+  std::vector<AnalysisInput> inputs;
+  for (const core::Policy* p : policies) inputs.push_back({p, nullptr});
+  AnalyzerOptions options;
+  options.max_findings_per_pass = 0;
+  return analyse_roots(inputs, options);
+}
+
+/// The policies' atoms, for the SoD meta-policy check.
+std::vector<Atom> atoms_of(const std::vector<const core::Policy*>& policies) {
+  std::vector<Atom> atoms;
+  for (const core::Policy* p : policies) {
+    std::vector<Atom> extracted = extract_atoms(*p);
+    atoms.insert(atoms.end(), std::make_move_iterator(extracted.begin()),
+                 std::make_move_iterator(extracted.end()));
+  }
+  return atoms;
+}
 
 TEST(ModalityConflictTest, OppositeEffectsSameTupleConflict) {
   const core::Policy permit = make_policy("permit", core::Effect::kPermit,
                                           "alice", "doc", "read");
   const core::Policy deny = make_policy("deny", core::Effect::kDeny,
                                         "alice", "doc", "read");
-  const AnalysisResult result = analyse({&permit, &deny});
-  ASSERT_EQ(result.conflicts.size(), 1u);
-  const Conflict& c = result.conflicts[0];
-  EXPECT_EQ(result.atoms[c.permit_index].policy_id, "permit");
-  EXPECT_EQ(result.atoms[c.deny_index].policy_id, "deny");
+  const AnalysisReport report = analyse_policies({&permit, &deny});
+  const auto conflicts = findings_with_code(report, "modality-conflict");
+  ASSERT_EQ(conflicts.size(), 1u);
+  const Finding& c = *conflicts[0];
+  EXPECT_EQ(c.root_id, "permit");
+  EXPECT_EQ(c.other_root_id, "deny");
   EXPECT_FALSE(c.approximate);
   // Witness includes a concrete value for every constrained attribute.
   const AttributeKey subj{core::Category::kSubject, core::attrs::kSubjectId};
@@ -165,7 +186,8 @@ TEST(ModalityConflictTest, DisjointSubjectsDoNotConflict) {
                                           "alice", "doc", "read");
   const core::Policy deny = make_policy("deny", core::Effect::kDeny,
                                         "bob", "doc", "read");
-  EXPECT_TRUE(analyse({&permit, &deny}).conflicts.empty());
+  EXPECT_TRUE(findings_with_code(analyse_policies({&permit, &deny}), "modality-conflict")
+                  .empty());
 }
 
 TEST(ModalityConflictTest, DisjointResourcesDoNotConflict) {
@@ -173,7 +195,8 @@ TEST(ModalityConflictTest, DisjointResourcesDoNotConflict) {
                                           "alice", "doc-1", "read");
   const core::Policy deny = make_policy("deny", core::Effect::kDeny,
                                         "alice", "doc-2", "read");
-  EXPECT_TRUE(analyse({&permit, &deny}).conflicts.empty());
+  EXPECT_TRUE(findings_with_code(analyse_policies({&permit, &deny}), "modality-conflict")
+                  .empty());
 }
 
 TEST(ModalityConflictTest, UnconstrainedAttributeOverlapsEverything) {
@@ -181,35 +204,38 @@ TEST(ModalityConflictTest, UnconstrainedAttributeOverlapsEverything) {
   const core::Policy permit = make_policy("permit", core::Effect::kPermit,
                                           "alice", "doc", "");
   const core::Policy deny = make_policy("deny", core::Effect::kDeny, "", "doc", "");
-  const AnalysisResult result = analyse({&permit, &deny});
-  EXPECT_EQ(result.conflicts.size(), 1u);
+  EXPECT_EQ(findings_with_code(analyse_policies({&permit, &deny}), "modality-conflict")
+                .size(),
+            1u);
 }
 
 TEST(ModalityConflictTest, SameEffectNeverConflicts) {
   const core::Policy a = make_policy("a", core::Effect::kPermit, "alice", "doc", "read");
   const core::Policy b = make_policy("b", core::Effect::kPermit, "alice", "doc", "read");
-  EXPECT_TRUE(analyse({&a, &b}).conflicts.empty());
+  EXPECT_TRUE(
+      findings_with_code(analyse_policies({&a, &b}), "modality-conflict").empty());
 }
 
 TEST(ModalityConflictTest, ApproximateAtomsFlaggedInConflicts) {
   core::Policy permit = make_policy("permit", core::Effect::kPermit, "", "doc", "");
   permit.rules[0].condition = core::lit(true);
   const core::Policy deny = make_policy("deny", core::Effect::kDeny, "", "doc", "");
-  const AnalysisResult result = analyse({&permit, &deny});
-  ASSERT_EQ(result.conflicts.size(), 1u);
-  EXPECT_TRUE(result.conflicts[0].approximate);
+  const AnalysisReport report = analyse_policies({&permit, &deny});
+  const auto conflicts = findings_with_code(report, "modality-conflict");
+  ASSERT_EQ(conflicts.size(), 1u);
+  EXPECT_TRUE(conflicts[0]->approximate);
 }
 
 // ---------------------------------------------------------------------
 // Property test: the analysis agrees with a brute-force PDP oracle on
-// the equality fragment (migrated).
+// the equality fragment.
 // ---------------------------------------------------------------------
 
 class ConflictOracleSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(ConflictOracleSweep, AnalysisMatchesBruteForceOracle) {
   // Generate a random set of single-rule policies over small domains and
-  // cross-check: a (permit, deny) atom pair conflicts iff some concrete
+  // cross-check: a (permit, deny) root pair conflicts iff some concrete
   // (subject, resource, action) triple makes both rules applicable.
   std::mt19937 rng(static_cast<unsigned>(GetParam()));
   const std::vector<std::string> subjects{"s1", "s2", ""};
@@ -226,7 +252,7 @@ TEST_P(ConflictOracleSweep, AnalysisMatchesBruteForceOracle) {
   }
   std::vector<const core::Policy*> pointers;
   for (const auto& p : policies) pointers.push_back(&p);
-  const AnalysisResult result = analyse(pointers);
+  const AnalysisReport report = analyse_policies(pointers);
 
   // Oracle: evaluate every policy against every concrete triple.
   const std::vector<std::string> concrete_subjects{"s1", "s2", "other"};
@@ -254,9 +280,8 @@ TEST_P(ConflictOracleSweep, AnalysisMatchesBruteForceOracle) {
   }
 
   std::set<std::pair<std::string, std::string>> analysis_conflicts;
-  for (const Conflict& c : result.conflicts) {
-    analysis_conflicts.insert({result.atoms[c.permit_index].policy_id,
-                               result.atoms[c.deny_index].policy_id});
+  for (const Finding* c : findings_with_code(report, "modality-conflict")) {
+    analysis_conflicts.insert({c->root_id, c->other_root_id});
   }
   EXPECT_EQ(analysis_conflicts, oracle_conflicts);
 }
@@ -272,11 +297,9 @@ TEST(SodTest, DetectsSubjectGrantedBothHalves) {
                                           "alice", "purchase-order", "submit");
   const core::Policy approve = make_policy("approve", core::Effect::kPermit,
                                            "alice", "purchase-order", "approve");
-  const AnalysisResult result = analyse({&submit, &approve});
-
   const std::vector<SodMetaPolicy> metas{
       {"submit-vs-approve", "purchase-order", "submit", "purchase-order", "approve"}};
-  const auto violations = check_sod(result.atoms, metas);
+  const auto violations = check_sod(atoms_of({&submit, &approve}), metas);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_TRUE(violations[0].overlapping_subjects.count("alice"));
 }
@@ -286,10 +309,9 @@ TEST(SodTest, DifferentSubjectsAreFine) {
                                           "alice", "purchase-order", "submit");
   const core::Policy approve = make_policy("approve", core::Effect::kPermit,
                                            "bob", "purchase-order", "approve");
-  const AnalysisResult result = analyse({&submit, &approve});
   const std::vector<SodMetaPolicy> metas{
       {"sod", "purchase-order", "submit", "purchase-order", "approve"}};
-  EXPECT_TRUE(check_sod(result.atoms, metas).empty());
+  EXPECT_TRUE(check_sod(atoms_of({&submit, &approve}), metas).empty());
 }
 
 TEST(SodTest, UnconstrainedSubjectViolates) {
@@ -298,10 +320,9 @@ TEST(SodTest, UnconstrainedSubjectViolates) {
                                           "purchase-order", "submit");
   const core::Policy approve = make_policy("approve", core::Effect::kPermit, "",
                                            "purchase-order", "approve");
-  const AnalysisResult result = analyse({&submit, &approve});
   const std::vector<SodMetaPolicy> metas{
       {"sod", "purchase-order", "submit", "purchase-order", "approve"}};
-  const auto violations = check_sod(result.atoms, metas);
+  const auto violations = check_sod(atoms_of({&submit, &approve}), metas);
   ASSERT_FALSE(violations.empty());
   EXPECT_TRUE(violations[0].overlapping_subjects.empty());  // "any subject"
 }
@@ -311,10 +332,9 @@ TEST(SodTest, DenyAtomsDoNotTriggerSod) {
                                           "alice", "purchase-order", "submit");
   const core::Policy approve = make_policy("approve", core::Effect::kPermit,
                                            "alice", "purchase-order", "approve");
-  const AnalysisResult result = analyse({&submit, &approve});
   const std::vector<SodMetaPolicy> metas{
       {"sod", "purchase-order", "submit", "purchase-order", "approve"}};
-  EXPECT_TRUE(check_sod(result.atoms, metas).empty());
+  EXPECT_TRUE(check_sod(atoms_of({&submit, &approve}), metas).empty());
 }
 
 // ---------------------------------------------------------------------
@@ -492,6 +512,21 @@ TEST(LintConflictTest, ApproximateConflictIsAWarning) {
   EXPECT_EQ(conflicts[0]->severity, Severity::kWarning);
   EXPECT_TRUE(conflicts[0]->approximate);
   EXPECT_TRUE(report.ok());  // warnings never gate
+}
+
+TEST(LintConflictTest, LaterRootReplacesEarlierRootOfSameId) {
+  // Two inputs named "x": only the later (deny) tree is analysed, so the
+  // earlier permit's conflict with "d" is gone.
+  const core::Policy permit = make_policy("x", core::Effect::kPermit, "alice", "doc", "read");
+  const core::Policy deny = make_policy("d", core::Effect::kDeny, "alice", "doc", "read");
+  const core::Policy replacement =
+      make_policy("x", core::Effect::kDeny, "alice", "doc", "read");
+  EXPECT_EQ(findings_with_code(analyse_policies({&permit, &deny}), "modality-conflict")
+                .size(),
+            1u);
+  EXPECT_TRUE(findings_with_code(analyse_policies({&permit, &deny, &replacement}),
+                                 "modality-conflict")
+                  .empty());
 }
 
 TEST(LintConflictTest, WithinTreeOverlapIsNotAConflict) {

@@ -185,8 +185,11 @@ TEST(IntegrationTest, DelegatedPolicyDetectedInConflictAnalysis) {
   ASSERT_EQ(filter.accepted.size(), 2u);
 
   // Static analysis flags the modality conflict before deployment.
-  const auto report = analysis::analyse({&local, &partner});
-  ASSERT_EQ(report.conflicts.size(), 1u);
+  const auto report = analysis::analyse_roots({{&local, nullptr}, {&partner, nullptr}});
+  ASSERT_EQ(report.findings.size(), 1u);
+  EXPECT_EQ(report.findings[0].code, "modality-conflict");
+  EXPECT_EQ(report.findings[0].root_id, "local-permit");
+  EXPECT_EQ(report.findings[0].other_root_id, "partner-deny");
 
   // At runtime, deny-overrides resolves it deterministically.
   auto shared_store = std::make_shared<core::PolicyStore>();

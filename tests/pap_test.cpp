@@ -13,6 +13,7 @@
 #include "pap/repository.hpp"
 #include "pap/syndication.hpp"
 #include "runtime/snapshot.hpp"
+#include "support/batch_analysis.hpp"
 
 namespace mdac::pap {
 namespace {
@@ -333,8 +334,8 @@ TEST(RepositoryTest, WithdrawnPolicyLeavesLintReport) {
 TEST(RepositoryTest, LintReportMatchesFreshAnalysisOfIssuedTrees) {
   // A set referencing a policy that is first unknown, then a draft, then
   // issued, then withdrawn: each status change must reach the set's
-  // reference findings, and the report must always equal a fresh
-  // analysis of what is issued.
+  // reference findings, and the report must always equal the reference
+  // whole-corpus analysis (tests/support) of what is issued.
   common::ManualClock clock;
   PolicyRepository repo(clock);
   core::PolicySet set;
@@ -349,7 +350,7 @@ TEST(RepositoryTest, LintReportMatchesFreshAnalysisOfIssuedTrees) {
     std::vector<analysis::AnalysisInput> inputs;
     for (const std::string& id : repo.policy_ids()) {
       if (const auto artifact = repo.compiled(id)) {
-        inputs.push_back({&artifact->source(), artifact.get()});
+        inputs.push_back({&artifact->source(), artifact});
       }
     }
     analysis::AnalyzerOptions options;
@@ -357,7 +358,7 @@ TEST(RepositoryTest, LintReportMatchesFreshAnalysisOfIssuedTrees) {
     options.withdrawn = [&](const std::string& id) {
       return repo.latest(id) != nullptr && repo.issued(id) == nullptr;
     };
-    const analysis::AnalysisReport fresh = analysis::analyse_roots(inputs, options);
+    const analysis::AnalysisReport fresh = test::batch_analyse_roots(inputs, options);
     const auto report = repo.lint_report();
     ASSERT_NE(report, nullptr) << step;
     EXPECT_TRUE(same_findings(*report, fresh)) << step;

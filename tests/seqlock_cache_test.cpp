@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -295,22 +296,29 @@ TEST(DecisionCacheTwoLevelTest, VersionedApiAndSweep) {
 // writes — produces either a decode failure or a stamp that contradicts
 // the (key, version) the reader asked for. Under TSan this also proves
 // the protocol is data-race-free.
+//
+// Readers start once every writer has stored each (key, version) once,
+// and a reader that has seen no hit by its last planned read keeps
+// reading until it does (up to kHitDeadline), so a scheduler that leaves
+// the writers idle while the readers run cannot fail the hit check.
 void expect_concurrent_rewrites_never_yield_mixed_payloads(SeqlockDecisionCache& cache) {
   constexpr std::uint64_t kKeys = 8;
   constexpr std::uint64_t kVersions = 4;   // concurrent version churn
   constexpr int kWriters = 2;
   constexpr int kReaders = 4;
 #ifdef NDEBUG
-  constexpr int kReadsPerThread = 200'000;
+  constexpr std::uint64_t kReadsPerThread = 200'000;
 #else
-  constexpr int kReadsPerThread = 50'000;
+  constexpr std::uint64_t kReadsPerThread = 50'000;
 #endif
+  constexpr auto kHitDeadline = std::chrono::seconds(30);
 
   const auto tag_for = [](std::uint64_t key_index, std::uint64_t version) {
     return "k" + std::to_string(key_index) + "-v" + std::to_string(version);
   };
 
   std::atomic<bool> stop{false};
+  std::atomic<int> writers_primed{0};
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> total_retries{0};
   std::atomic<int> failures{0};
@@ -319,16 +327,21 @@ void expect_concurrent_rewrites_never_yield_mixed_payloads(SeqlockDecisionCache&
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
-      std::uint64_t n = static_cast<std::uint64_t>(w) * 7919;
+      const std::uint64_t first = static_cast<std::uint64_t>(w) * 7919;
+      std::uint64_t n = first;
       while (!stop.load(std::memory_order_relaxed)) {
         const std::uint64_t ki = n % kKeys;
         const std::uint64_t version = 1 + (n / kKeys) % kVersions;
         cache.insert(key_of(ki), version, stamped_permit(tag_for(ki, version)));
         ++n;
+        // Any kKeys * kVersions consecutive writes cover every pair.
+        if (n - first == kKeys * kVersions) writers_primed.fetch_add(1);
       }
     });
   }
+  while (writers_primed.load() < kWriters) std::this_thread::yield();
 
+  const auto deadline = std::chrono::steady_clock::now() + kHitDeadline;
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
@@ -337,7 +350,9 @@ void expect_concurrent_rewrites_never_yield_mixed_payloads(SeqlockDecisionCache&
       std::uint64_t retries = 0;
       std::uint64_t n = static_cast<std::uint64_t>(r) * 104729;
       core::Decision out;
-      for (int i = 0; i < kReadsPerThread; ++i, ++n) {
+      for (std::uint64_t i = 0; i < kReadsPerThread ||
+                      (local_hits == 0 && std::chrono::steady_clock::now() < deadline);
+           ++i, ++n) {
         const std::uint64_t ki = n % kKeys;
         const std::uint64_t version = 1 + n % kVersions;
         if (!cache.lookup(key_of(ki), version, out, &retries)) continue;

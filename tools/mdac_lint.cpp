@@ -6,13 +6,16 @@
 // recursively), runs the full mdac::analysis pass suite over the
 // combined corpus — so cross-file modality conflicts and references
 // between files are checked, exactly as the repository's issue-time lint
-// would see them — and prints structured findings. Exit status:
+// would see them — and prints structured findings. Two files that
+// declare the same policy id are refused: the analyser would keep only
+// the later tree. Exit status:
 //   0  no error-severity findings (warnings/infos may exist)
 //   1  at least one error-severity finding
-//   2  usage, I/O or parse failure
+//   2  usage, I/O or parse failure, or a policy id declared twice
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -98,6 +101,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<mdac::core::PolicyNodePtr> roots;
+  std::map<std::string, fs::path> declared_by;  // policy id -> file
   for (const fs::path& file : files) {
     std::ifstream in(file);
     if (!in) {
@@ -108,12 +112,17 @@ int main(int argc, char** argv) {
     buffer << in.rdbuf();
     try {
       roots.push_back(mdac::core::node_from_string(buffer.str()));
-      std::cout << "parsed " << file.string() << " -> " << roots.back()->id()
-                << "\n";
     } catch (const std::exception& e) {
       std::cerr << "mdac-lint: " << file << ": " << e.what() << "\n";
       return 2;
     }
+    const std::string& id = roots.back()->id();
+    if (const auto [it, fresh] = declared_by.emplace(id, file); !fresh) {
+      std::cerr << "mdac-lint: policy id '" << id << "' is declared by both "
+                << it->second << " and " << file << "\n";
+      return 2;
+    }
+    std::cout << "parsed " << file.string() << " -> " << id << "\n";
   }
 
   std::vector<mdac::analysis::AnalysisInput> inputs;
