@@ -213,7 +213,8 @@ DecisionEngine::DecisionEngine(SnapshotPublisher& publisher, EngineConfig config
   // Workers start registered as idle, so the first of them to park finds
   // every peer idle and sleeps untimed like the rest: a new engine parks
   // each worker once. A claim that lands before a worker's first park
-  // only makes that park return at once.
+  // only makes that park return at once. Each worker parks before its
+  // first pop (worker_loop), so this registration ends like any other.
   for (std::size_t w = 0; w < idle_words_; ++w) {
     const std::size_t members = std::min<std::size_t>(64, config_.workers - w * 64);
     idle_[w].all = members == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << members) - 1;
@@ -783,6 +784,10 @@ void DecisionEngine::worker_loop(std::size_t index) {
     worker.l1.emplace(config_.l1_capacity, cache_->ttl(), cache_->clock());
   }
   worker.jobs.reserve(config_.max_batch);
+  // End the registration the worker started with before popping: a
+  // worker that popped with its bit still set would look idle while
+  // busy, and a submit that claimed that bit would wake nobody.
+  park(index);
   while (pop_batch(index, worker)) {
     process_batch(index, worker);
     // Every callback of the batch has run: hand the jobs' storage back

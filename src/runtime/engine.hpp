@@ -73,7 +73,9 @@
 //     untimed, and one park word per worker (kRunning, kWaiting,
 //     kNotified) beside the time it started its current batch (0 from
 //     its park until its next batch), each on its own cache line.
-//     Workers start registered as idle. A worker that finds the ring
+//     Workers start registered as idle and park before their first pop,
+//     so no worker pops while its start-up bit still says it is idle.
+//     A worker that finds the ring
 //     empty and the admission word at 0 clears its batch time and sets
 //     its idle bit with a seq_cst fetch_or. If that made every worker
 //     idle it sleeps untimed, and says so first: a seq_cst fetch_or of

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <future>
@@ -909,6 +910,44 @@ TEST(DecisionEngineTest, RequestDeferredToAPeerThatThenWedgesIsServedByABoundedS
   EXPECT_TRUE(deferred.get().decision.is_permit());
   EXPECT_TRUE(held.get().decision.is_permit());
   EXPECT_TRUE(trigger.get().decision.is_permit());
+}
+
+TEST(DecisionEngineTest, EachWorkerOfANewEngineCanBeHeldInACallback) {
+  // Hold the workers of a new engine one by one inside completion
+  // callbacks, submitting the next request only once the previous one is
+  // held. Each request must find a free worker. The first job of a new
+  // engine can be popped by a worker that has not parked yet, so that
+  // worker must not still count as idle: a submit that picked it would
+  // wake nobody and the request would wait with the other workers asleep.
+  SnapshotPublisher publisher;
+  publisher.publish(bench::make_policy_store(4));
+  EngineConfig config;
+  config.workers = 4;
+  for (int round = 0; round < 200; ++round) {
+    DecisionEngine engine(publisher, config);
+    std::promise<void> release;
+    const std::shared_future<void> gate = release.get_future().share();
+    std::atomic<std::size_t> held{0};
+    std::size_t stranded_at = config.workers;
+    for (std::size_t w = 0; w < config.workers && stranded_at == config.workers; ++w) {
+      engine.submit(probe_request(), [&held, gate](EngineResult) {
+        held.fetch_add(1, std::memory_order_release);
+        gate.wait();
+      });
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (held.load(std::memory_order_acquire) != w + 1) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          stranded_at = w;
+          break;
+        }
+        std::this_thread::yield();
+      }
+    }
+    release.set_value();
+    engine.shutdown();  // notifies every worker, so a stranded job drains
+    ASSERT_EQ(stranded_at, config.workers)
+        << "round " << round << ": request " << stranded_at << " found no worker";
+  }
 }
 
 TEST(DecisionEngineTest, IdleEngineMakesNoTimedWakeUps) {
