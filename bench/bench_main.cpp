@@ -20,6 +20,7 @@
 //   every tier-1 run.
 #include <dlfcn.h>
 #include <pthread.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -1209,41 +1210,101 @@ BenchResult bench_analysis_lint(const Scale& s) {
   return r;
 }
 
-/// Issue-time lint at one store size: each op submits and issues a new
-/// version of one policy in a repository holding `n_policies` issued
-/// federation policies (8 domains, lint on and gate off, the PapConfig
-/// defaults). Versions alternate the policy's read rule between permit
-/// and deny, so every issue replaces the conflicts the lint index holds
-/// for it. `pap_issue_2k` holds the analysis_lint_2k corpus: 250
-/// policies share each (domain, role), so one issue meets ~500
-/// conflicting atoms.
-BenchResult bench_pap_issue(const Scale& s, const char* name, int n_policies) {
-  constexpr int kDomains = 8;
+/// A repository holding `n_policies` issued federation policies (8
+/// domains, lint on and gate off, the PapConfig defaults) and the two
+/// versions of one of them that the issue and publish rows alternate:
+/// its read rule permits in one and denies in the other, so every issue
+/// replaces the conflicts the lint index holds for it. At 2,000 policies
+/// it holds the analysis_lint_2k corpus: 250 policies share each
+/// (domain, role), so one issue meets ~500 conflicting atoms.
+struct ChurnRepository {
   common::ManualClock clock;
-  pap::PolicyRepository repo(clock);
+  pap::PolicyRepository repo{clock};
+  std::string id;
+  std::string documents[2];
   std::uint64_t failures = 0;  // set-up and measured issues alike
-  for (int i = 0; i < n_policies; ++i) {
-    const core::Policy p = domain_role_policy(i % kDomains, i, s.roles);
-    if (!repo.submit(core::node_to_string(p), "bench") || !repo.issue(p.policy_id, "bench")) {
-      ++failures;
+
+  ChurnRepository(const Scale& s, int n_policies) {
+    constexpr int kDomains = 8;
+    for (int i = 0; i < n_policies; ++i) {
+      const core::Policy p = domain_role_policy(i % kDomains, i, s.roles);
+      if (!repo.submit(core::node_to_string(p), "bench") ||
+          !repo.issue(p.policy_id, "bench")) {
+        ++failures;
+      }
     }
+    core::Policy flipped = domain_role_policy(0, 0, s.roles);
+    id = flipped.policy_id;
+    documents[0] = core::node_to_string(flipped);
+    flipped.rules[0].effect = core::Effect::kDeny;
+    documents[1] = core::node_to_string(flipped);
   }
-  core::Policy flipped = domain_role_policy(0, 0, s.roles);
-  const std::string id = flipped.policy_id;
-  const std::string documents[2] = {core::node_to_string(flipped), [&] {
-                                      flipped.rules[0].effect = core::Effect::kDeny;
-                                      return core::node_to_string(flipped);
-                                    }()};
-  auto r = run_bench(name, std::max<std::uint64_t>(s.iterations / 400, 50), 1,
-                     [&](std::uint64_t i) {
-                       if (!repo.submit(documents[i % 2], "bench") ||
-                           !repo.issue(id, "bench")) {
-                         ++failures;
-                       }
-                     });
-  r.counters["policies"] = n_policies;
-  r.counters["failed_issues"] = static_cast<double>(failures);
-  r.counters["error_findings"] = static_cast<double>(repo.lint_report()->error_count);
+
+  /// Submits and issues version `i % 2` of the alternating policy.
+  void reissue(std::uint64_t i) {
+    if (!repo.submit(documents[i % 2], "bench") || !repo.issue(id, "bench")) ++failures;
+  }
+};
+
+std::uint64_t churn_ops(const Scale& s) {
+  return std::max<std::uint64_t>(s.iterations / 400, 50);
+}
+
+/// Issue-time lint at one store size: each op submits and issues a new
+/// version of the alternating policy.
+BenchResult bench_pap_issue(const Scale& s, const std::string& name, ChurnRepository& churn) {
+  auto r = run_bench(name, churn_ops(s), 1, [&](std::uint64_t i) { churn.reissue(i); });
+  r.counters["policies"] = static_cast<double>(churn.repo.all_issued().size());
+  r.counters["failed_issues"] = static_cast<double>(churn.failures);
+  r.counters["error_findings"] =
+      static_cast<double>(churn.repo.lint_report()->error_count);
+  return r;
+}
+
+/// Snapshot publication at one store size: each op re-issues the
+/// alternating policy, unmeasured, then measures one publish_from of the
+/// whole repository, as a PAP publishes after every change.
+BenchResult bench_snapshot_publish(const Scale& s, const std::string& name,
+                                   ChurnRepository& churn) {
+  runtime::SnapshotPublisher publisher;
+  const std::uint64_t ops = churn_ops(s);
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(ops));
+  std::uint64_t allocs = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t locks = 0;
+  double total_ns = 0;
+  std::size_t policies = 0;
+  for (std::uint64_t i = 0; i <= ops; ++i) {  // op 0 warms up
+    churn.reissue(i);
+    const HookCounts before;
+    const auto t0 = Clock::now();
+    policies = publisher.publish_from(churn.repo)->store()->size();
+    const auto t1 = Clock::now();
+    const HookCounts after;
+    if (i == 0) continue;
+    const auto ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+    samples.push_back(ns);
+    total_ns += ns;
+    allocs += after.allocs - before.allocs;
+    bytes += after.bytes - before.bytes;
+    locks += after.locks - before.locks;
+  }
+  BenchResult r;
+  r.name = name;
+  r.iterations = ops;
+  const double n = static_cast<double>(ops);
+  r.mean_ns = total_ns / n;
+  r.ops_per_sec = total_ns > 0 ? 1e9 * n / total_ns : 0;
+  r.p50_ns = percentile(samples, 0.50);
+  r.p90_ns = percentile(samples, 0.90);
+  r.p99_ns = percentile(samples, 0.99);
+  r.allocs_per_op = static_cast<double>(allocs) / n;
+  r.bytes_per_op = static_cast<double>(bytes) / n;
+  r.locks_per_op = kCountsLocks ? static_cast<double>(locks) / n : -1;
+  r.counters["policies"] = static_cast<double>(policies);
+  r.counters["failed_issues"] = static_cast<double>(churn.failures);
   return r;
 }
 
@@ -1300,6 +1361,18 @@ struct GateSpec {
   double extra_slack = 0.0;
 };
 
+/// CPUs this process may run on: its affinity mask, so a run under
+/// `taskset` counts the cores it really has, not the host's.
+unsigned usable_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+#endif
+  return std::thread::hardware_concurrency();
+}
+
 /// The bench-smoke regression gate (wired up in CMakeLists): fails the
 /// run if a gated row regressed >max_regress against the committed
 /// baseline. Four rows are gated: the cached-hit path against the
@@ -1325,9 +1398,9 @@ int check_regression(const Scale& scale, const Report& report,
 
   int failures = 0;
   for (const GateSpec& gate : kGates) {
-    if (gate.min_cores > 0 && std::thread::hardware_concurrency() < gate.min_cores) {
+    if (gate.min_cores > 0 && usable_cpus() < gate.min_cores) {
       std::printf("regression gate: %s needs >=%u cores (have %u); skipping\n",
-                  gate.gated, gate.min_cores, std::thread::hardware_concurrency());
+                  gate.gated, gate.min_cores, usable_cpus());
       continue;
     }
     const double baseline_gated = baseline_ops_per_sec(baseline_path, gate.gated);
@@ -1383,9 +1456,9 @@ int check_traced_overhead_floor(const Scale& scale, const Report& report) {
   constexpr const char* kReference = "pdp_mt_cached_workers_8";
   constexpr double kMinRatio = 0.97;
   constexpr unsigned kMinCores = 8;
-  if (std::thread::hardware_concurrency() < kMinCores) {
+  if (usable_cpus() < kMinCores) {
     std::printf("speedup floor: %s needs >=%u cores (have %u); skipping\n", kGated,
-                kMinCores, std::thread::hardware_concurrency());
+                kMinCores, usable_cpus());
     return 0;
   }
   double gated = 0;
@@ -1480,11 +1553,19 @@ int check_exact_allocs(const Report& report) {
 /// stretches batches past the engine's 50 us freshness window, so a reading
 /// over the bound is re-measured twice before failing, as the ratio gates
 /// are. Skips in sanitized builds, where instrumented batches outlast the
-/// window on every run (0.031-0.032 under ASan).
+/// window on every run (0.031-0.032 under ASan), and below three usable
+/// CPUs (the submitter and both workers): workers sharing a core with
+/// the submitter park between its time slices (0.319 per op on one core),
+/// so the count would measure the scheduler, not the deferral rule.
 int check_wake_counts(const Scale& scale, const Report& report) {
   constexpr double kMaxPerOp = 0.04;
+  constexpr unsigned kMinCpus = 3;
   if (kSanitized) {
     std::printf("wake gate: sanitized build; skipping\n");
+    return 0;
+  }
+  if (const unsigned cpus = usable_cpus(); cpus < kMinCpus) {
+    std::printf("wake gate: needs >=%u usable CPUs (have %u); skipping\n", kMinCpus, cpus);
     return 0;
   }
   for (const BenchResult& first : report.results()) {
@@ -1632,12 +1713,15 @@ int run(int argc, char** argv) {
     print_row(r);
     report.add(std::move(r));
   }
-  for (const auto& [name, policies] :
-       {std::pair{"pap_issue_200", scale.lint_policies / 10},
-        std::pair{"pap_issue_2k", scale.lint_policies}}) {
-    BenchResult r = bench_pap_issue(scale, name, policies);
-    print_row(r);
-    report.add(std::move(r));
+  for (const auto& [size, policies] : {std::pair{"200", scale.lint_policies / 10},
+                                       std::pair{"2k", scale.lint_policies}}) {
+    ChurnRepository churn(scale, policies);
+    for (BenchResult r : {bench_pap_issue(scale, std::string("pap_issue_") + size, churn),
+                          bench_snapshot_publish(
+                              scale, std::string("snapshot_publish_") + size, churn)}) {
+      print_row(r);
+      report.add(std::move(r));
+    }
   }
 
   if (!report.write(out, workload)) {

@@ -9,7 +9,7 @@
 // Expected shape: the conflict pass compares only atoms that share the
 // value of the most common pinned attribute (a subject or resource id
 // here), so runtime grows far slower than the all-pairs quadratic;
-// conflicts found grows linearly with the injected conflict rate, and
+// conflicts found grows with the injected conflict rate, and
 // every injected conflict is detected (completeness, see the oracle
 // property test).
 #include <benchmark/benchmark.h>
@@ -24,26 +24,31 @@ namespace {
 using namespace mdac;
 
 /// Policies over a domain of subjects/resources/actions; a fraction of
-/// deny policies exactly mirror a permit policy (injected conflicts).
+/// policies mirror the previous policy's subject and resource with the
+/// opposite effect (injected conflicts).
 std::vector<core::Policy> make_corpus(int n, double conflict_rate,
                                       common::Rng& rng) {
   std::vector<core::Policy> out;
   out.reserve(static_cast<std::size_t>(n));
+  int subject = 0;
+  int resource = 0;
+  core::Effect effect = core::Effect::kPermit;
   for (int i = 0; i < n; ++i) {
     core::Policy p;
     p.policy_id = "p-" + std::to_string(i);
-    const bool inject_conflict = i > 0 && rng.chance(conflict_rate);
-    const int subject = inject_conflict ? (i - 1) % 20
-                                        : static_cast<int>(rng.uniform_int(0, 19));
-    const int resource = inject_conflict ? (i - 1) % 50
-                                         : static_cast<int>(rng.uniform_int(0, 49));
+    if (i > 0 && rng.chance(conflict_rate)) {
+      effect = effect == core::Effect::kPermit ? core::Effect::kDeny
+                                               : core::Effect::kPermit;
+    } else {
+      subject = static_cast<int>(rng.uniform_int(0, 19));
+      resource = static_cast<int>(rng.uniform_int(0, 49));
+      effect = rng.chance(0.5) ? core::Effect::kPermit : core::Effect::kDeny;
+    }
     p.target_spec.require(core::Category::kResource, core::attrs::kResourceId,
                           core::AttributeValue("res-" + std::to_string(resource)));
     core::Rule r;
     r.id = "r";
-    r.effect = inject_conflict
-                   ? core::Effect::kDeny
-                   : (rng.chance(0.5) ? core::Effect::kPermit : core::Effect::kDeny);
+    r.effect = effect;
     core::Target t;
     t.require(core::Category::kSubject, core::attrs::kSubjectId,
               core::AttributeValue("user-" + std::to_string(subject)));

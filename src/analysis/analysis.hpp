@@ -239,6 +239,10 @@ class IncrementalAnalysis {
   /// for an id without a commit or erase of that id.
   void refresh_references(const std::string& id, const AnalyzerOptions& options);
 
+  /// The roots whose trees reference `id` (the reverse reference edges;
+  /// `id` need not be a root). Valid until the next commit or erase.
+  const std::set<std::string>& referrers(const std::string& id) const;
+
   /// Builds the report from the maintained state: per-root findings are
   /// copied, conflict findings are only built while their pass is under
   /// the cap, vocabulary and cycle findings are computed at this call.

@@ -384,6 +384,12 @@ void IncrementalAnalysis::refresh_references(const std::string& id,
   }
 }
 
+const std::set<std::string>& IncrementalAnalysis::referrers(const std::string& id) const {
+  static const std::set<std::string> none;
+  const auto it = index_->referrers.find(id);
+  return it == index_->referrers.end() ? none : it->second;
+}
+
 AnalysisReport IncrementalAnalysis::report(const AnalyzerOptions& options) const {
   ReportBuilder rb(options.max_findings_per_pass);
   for (const auto& [id, root] : index_->roots) {

@@ -89,9 +89,7 @@ RepoOutcome PolicyRepository::submit(const std::string& document,
   record_audit(author, "submit", policy_id, versions.back().version, document);
   // A reference to an id the repository did not know dangled; now the id
   // is known with nothing issued, it reads as withdrawn.
-  if (new_id && config_.lint_on_issue) {
-    lint_index_.refresh_references(policy_id, lint_options());
-  }
+  if (new_id) lint_index_.refresh_references(policy_id, lint_options());
   return RepoOutcome::success();
 }
 
@@ -101,8 +99,11 @@ analysis::AnalyzerOptions PolicyRepository::lint_options() const {
   options.withdrawn = [this](const std::string& id) {
     return records_.find(id) != records_.end() && issued(id) == nullptr;
   };
-  if (!config_.lint_vocabulary_domain.empty()) {
-    options.vocabulary = attribute_allowlist(config_.lint_vocabulary_domain);
+  if (!config_.lint_on_issue) {
+    // The index still holds every issued tree: it is the dependency
+    // graph recompile_dependents walks.
+    options.shadowing = options.conflicts = options.references = options.types =
+        options.dead_code = false;
   }
   return options;
 }
@@ -134,7 +135,6 @@ RepoOutcome PolicyRepository::lint_candidate(
 }
 
 std::shared_ptr<const analysis::AnalysisReport> PolicyRepository::lint_report() const {
-  if (!linted_) return nullptr;
   std::lock_guard lock(lint_report_mutex_);
   if (lint_report_ == nullptr) {
     lint_report_ = std::make_shared<const analysis::AnalysisReport>(
@@ -163,7 +163,7 @@ RepoOutcome PolicyRepository::issue(const std::string& policy_id,
     node = nullptr;
   }
   std::optional<analysis::IncrementalAnalysis::Staged> staged;
-  if (node != nullptr && config_.lint_on_issue) {
+  if (node != nullptr) {
     const RepoOutcome linted =
         lint_candidate(policy_id, versions.back().version, *node, actor, &staged);
     if (!linted) return linted;
@@ -178,10 +178,7 @@ RepoOutcome PolicyRepository::issue(const std::string& policy_id,
                versions.back().document);
   // The issue goes through: the staged candidate replaces the previous
   // version in the lint index (its artifact follows in compile_node).
-  if (staged) {
-    lint_index_.commit(std::move(*staged), lint_options());
-    linted_ = true;
-  }
+  if (staged) lint_index_.commit(std::move(*staged), lint_options());
 
   // Compile-on-issue (and recompile-on-update: a re-issued id replaces
   // its artifact). This is the trusted administrative path, so the
@@ -243,9 +240,7 @@ void PolicyRepository::compile_node(const std::string& policy_id,
     return issued(id) != nullptr;
   };
   compiled_[policy_id] = core::CompiledPolicyTree::compile(node, options);
-  if (config_.lint_on_issue) lint_index_.set_compiled(policy_id, compiled_[policy_id]);
-  const auto refs = core::referenced_policy_ids(node);
-  references_[policy_id] = std::set<std::string>(refs.begin(), refs.end());
+  lint_index_.set_compiled(policy_id, compiled_[policy_id]);
   if (intern_names) {
     resolve_only_.erase(policy_id);
   } else {
@@ -270,26 +265,25 @@ void PolicyRepository::compile_issued(const std::string& policy_id) {
 
 void PolicyRepository::drop_artifact(const std::string& policy_id) {
   compiled_.erase(policy_id);
-  references_.erase(policy_id);
-  if (config_.lint_on_issue) lint_index_.erase(policy_id, lint_options());
+  lint_index_.erase(policy_id, lint_options());
 }
 
 void PolicyRepository::recompile_dependents(const std::string& changed_id,
                                             const std::string& actor) {
-  // Transitive worklist over the dependency edges; `done` both dedups
-  // and breaks reference cycles. The trigger itself was just compiled —
-  // never recompile it here (a self-referencing set would loop its own
-  // compilation otherwise).
+  // Transitive worklist over the lint index's reverse reference edges
+  // (every issued tree with an artifact is a root there); `done` both
+  // dedups and breaks reference cycles. The trigger itself was just
+  // compiled — never recompile it here (a self-referencing set would
+  // loop its own compilation otherwise).
   std::set<std::string> done{changed_id};
   std::vector<std::string> work{changed_id};
   while (!work.empty()) {
     const std::string id = std::move(work.back());
     work.pop_back();
-    // Snapshot the dependents first: compile_issued mutates references_.
-    std::vector<std::string> dependents;
-    for (const auto& [dependent, refs] : references_) {
-      if (refs.find(id) != refs.end()) dependents.push_back(dependent);
-    }
+    // Copy the dependents first: a failed recompile erases its root and
+    // so changes the edges.
+    const std::set<std::string>& referrers = lint_index_.referrers(id);
+    const std::vector<std::string> dependents(referrers.begin(), referrers.end());
     for (const std::string& dependent : dependents) {
       if (!done.insert(dependent).second) continue;
       const PolicyRecord* record = issued(dependent);

@@ -69,13 +69,17 @@ struct RepoOutcome {
 };
 
 /// Issue-time static-analysis policy (paper §3.1: conflicts are found
-/// *before* deployment, on the trusted administrative path).
+/// *before* deployment, on the trusted administrative path) and audit
+/// retention.
 struct PapConfig {
-  /// Run the mdac::analysis linter on every issue(): the candidate is
+  /// Run the mdac::analysis passes on every issue(): the candidate is
   /// analysed against the issued trees (an analysis::IncrementalAnalysis
   /// the repository keeps between issues, so the cost follows what the
   /// candidate touches, not the corpus size), and findings involving the
-  /// candidate are audited.
+  /// candidate are audited. False keeps the index (it is also the
+  /// reference graph dependent recompiles walk) with every pass off:
+  /// issue() neither audits nor gates on lint, and lint_report() carries
+  /// only compile diagnostics.
   bool lint_on_issue = true;
   /// Refuse issuance outright when the lint report carries
   /// error-severity findings involving the candidate (cross-root
@@ -83,13 +87,6 @@ struct PapConfig {
   /// is audited as "lint-refused" and leaves the repository (and its
   /// lint_report()) unchanged.
   bool lint_gate = false;
-  /// Non-empty: the issue-time lint additionally checks the candidate's
-  /// referenced attribute names against this domain's registered
-  /// allowlist (vocabulary pass). Meant for manually registered
-  /// vocabularies; leave empty when set_vocabulary_domain() is used —
-  /// auto-extraction grows the allowlist from the policies themselves,
-  /// so the pass could only ever warn about its own input.
-  std::string lint_vocabulary_domain;
   /// Upper bound on retained audit entries. 0 = unbounded (the default,
   /// preserving append-only semantics for compliance deployments that
   /// archive externally). When bound, the log is a ring: the oldest
@@ -201,13 +198,11 @@ class PolicyRepository {
 
   /// The analyser's report over the issued trees as they stand: every
   /// issued tree with its compiled artifact, references resolving to
-  /// issued ids (null until the first successful issue() with
-  /// lint_on_issue). A lint-gate refusal leaves it unchanged, and a
-  /// withdrawn tree's findings leave with it. Built from the maintained
-  /// index when first read after a change, then shared until the next.
-  /// Snapshot publication (runtime::SnapshotPublisher::publish_from)
-  /// attaches it to the published snapshot so PDP replicas can surface
-  /// analyser findings alongside the policy state they execute.
+  /// issued ids (an empty report before the first issue). A lint-gate
+  /// refusal leaves it unchanged, and a withdrawn tree's findings leave
+  /// with it. Built from the maintained index when first read after a
+  /// change, then shared until the next; never null. It is the
+  /// administrator's view: snapshot publication does not read it.
   std::shared_ptr<const analysis::AnalysisReport> lint_report() const;
 
   const PapConfig& config() const { return config_; }
@@ -217,7 +212,7 @@ class PolicyRepository {
                     const std::string& policy_id, int version,
                     const std::string& document);
   /// Compiles `node` (the parsed issued document of `policy_id`) and
-  /// replaces its artifact and dependency edges. `intern_names` = false
+  /// replaces its artifact, in the lint index too. `intern_names` = false
   /// is the symbol-table-exhausted degradation (see issue()); it is
   /// remembered per id so dependent *re*compiles stay resolve-only and
   /// cannot burn the symbol budget the atomic registration refusal
@@ -226,7 +221,7 @@ class PolicyRepository {
                     bool intern_names);
   /// Parses `policy_id`'s issued document and compiles it via
   /// compile_node, reusing the id's remembered intern_names mode;
-  /// clears artifact and edges if nothing is issued or parsing fails.
+  /// drops the artifact if nothing is issued or parsing fails.
   void compile_issued(const std::string& policy_id);
   /// Recompiles every issued node whose tree references `changed_id`,
   /// transitively (a set referencing a set referencing `changed_id`
@@ -241,17 +236,18 @@ class PolicyRepository {
                              const core::PolicyTreeNode& node, const std::string& actor,
                              std::optional<analysis::IncrementalAnalysis::Staged>* staged);
   /// The analyser options the lint index runs with: references resolve
-  /// to issued ids, known ids with nothing issued count as withdrawn.
+  /// to issued ids, known ids with nothing issued count as withdrawn;
+  /// every pass is off unless lint_on_issue.
   analysis::AnalyzerOptions lint_options() const;
-  /// Drops `policy_id`'s compiled artifact and dependency edges, and its
-  /// tree from the lint index: only compiled trees are linted.
+  /// Drops `policy_id`'s compiled artifact, and its tree from the lint
+  /// index: only compiled trees are linted.
   void drop_artifact(const std::string& policy_id);
 
   const common::Clock& clock_;
   PapConfig config_;
-  // The issued trees' analyser state (maintained while lint_on_issue).
+  // The issued trees' analyser state; its reverse reference edges are
+  // the dependency graph recompile_dependents walks.
   analysis::IncrementalAnalysis lint_index_;
-  bool linted_ = false;  // a lint has been committed: lint_report() is non-null
   mutable std::mutex lint_report_mutex_;
   // Built on first read after a change; reset by every audited change.
   mutable std::shared_ptr<const analysis::AnalysisReport> lint_report_;
@@ -259,9 +255,6 @@ class PolicyRepository {
   std::map<std::string, std::vector<PolicyRecord>> records_;
   // id -> compile-on-issue artifact for the currently issued version.
   std::map<std::string, std::shared_ptr<const core::CompiledPolicyTree>> compiled_;
-  // id -> policy ids its issued tree references (dependency edges for
-  // recompile_dependents).
-  std::map<std::string, std::set<std::string>> references_;
   // ids whose issue-time registration failed (symbol table exhausted):
   // their compiles — including dependent recompiles — stay resolve-only.
   std::set<std::string> resolve_only_;

@@ -3,32 +3,23 @@
 namespace mdac::runtime {
 
 std::shared_ptr<const PolicySnapshot> SnapshotPublisher::publish(
-    std::shared_ptr<core::PolicyStore> store, std::uint64_t source_revision,
-    std::shared_ptr<const analysis::AnalysisReport> findings) {
+    std::shared_ptr<core::PolicyStore> store) {
   std::lock_guard lock(mutex_);
   const std::uint64_t version = version_.load(std::memory_order_relaxed) + 1;
-  auto snapshot = std::make_shared<const PolicySnapshot>(
-      version, std::move(store), source_revision, std::move(findings));
+  auto snapshot = std::make_shared<const PolicySnapshot>(version, std::move(store));
   current_ = snapshot;
   // Release-ordered after current_ is in place: a reader that observes
   // version v through current_version() will observe a current() whose
   // version is >= v (current() synchronises through the mutex).
   version_.store(version, std::memory_order_release);
-  for (const auto& hook : hooks_) hook(version);
   return snapshot;
-}
-
-void SnapshotPublisher::add_publish_hook(std::function<void(std::uint64_t)> hook) {
-  std::lock_guard lock(mutex_);
-  hooks_.push_back(std::move(hook));
 }
 
 std::shared_ptr<const PolicySnapshot> SnapshotPublisher::publish_from(
     const pap::PolicyRepository& repository) {
   auto store = std::make_shared<core::PolicyStore>();
   repository.load_into(store.get());
-  return publish(std::move(store), repository.revision(),
-                 repository.lint_report());
+  return publish(std::move(store));
 }
 
 std::shared_ptr<const PolicySnapshot> SnapshotPublisher::current() const {

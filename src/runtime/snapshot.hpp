@@ -14,7 +14,9 @@
 //     replica bound to it therefore only ever reads, which the store
 //     supports concurrently. Compiled PolicyReference nodes resolve
 //     against this same frozen store, so a decision's whole reference
-//     closure comes from one snapshot.
+//     closure comes from one snapshot. A snapshot carries only what a
+//     replica executes: the issue-time analyser report stays with the
+//     repository (pap::PolicyRepository::lint_report()).
 //   * `SnapshotPublisher` — the single writer-side cell. `publish()`
 //     atomically replaces the current snapshot; readers take a
 //     shared_ptr copy at batch boundaries (runtime::DecisionEngine) and
@@ -22,7 +24,10 @@
 //     shared_ptr *is* the RCU grace period: the old snapshot stays alive
 //     exactly as long as some worker still holds it, so a PAP update can
 //     never destroy a policy node an in-flight evaluation references —
-//     the UB the old contract warned about is structurally gone.
+//     the UB the old contract warned about is structurally gone. The
+//     engine's workers flush their caches at adoption; a cache outside
+//     the engine is bounded by its TTL, or its owner calls
+//     DecisionCache::evict_older_than(version) after it publishes.
 //   * `RepositoryPublisher` — the PAP edge: wraps a pap::PolicyRepository
 //     so that every successful issue/update/withdraw republishes the
 //     issued policy set as a fresh snapshot (compiled artifacts are
@@ -37,10 +42,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "core/policy.hpp"
 #include "pap/repository.hpp"
@@ -53,41 +56,19 @@ namespace mdac::runtime {
 /// is then safe from any number of threads.
 class PolicySnapshot {
  public:
-  PolicySnapshot(std::uint64_t version, std::shared_ptr<core::PolicyStore> store,
-                 std::uint64_t source_revision,
-                 std::shared_ptr<const analysis::AnalysisReport> findings = nullptr)
-      : version_(version),
-        source_revision_(source_revision),
-        store_(std::move(store)),
-        findings_(std::move(findings)) {}
+  PolicySnapshot(std::uint64_t version, std::shared_ptr<core::PolicyStore> store)
+      : version_(version), store_(std::move(store)) {}
 
   /// Monotonic publication number (1 = first snapshot ever published).
   std::uint64_t version() const { return version_; }
-
-  /// The pap::PolicyRepository::revision() this snapshot was built from,
-  /// or 0 for directly published stores.
-  std::uint64_t source_revision() const { return source_revision_; }
 
   /// The frozen store. Returned as the shared_ptr core::Pdp wants;
   /// holders must honour the no-mutation convention.
   const std::shared_ptr<core::PolicyStore>& store() const { return store_; }
 
-  std::size_t policy_count() const { return store_->size(); }
-
-  /// The issue-time static-analysis report this snapshot was published
-  /// under (pap::PolicyRepository::lint_report()), or null when the
-  /// source repository never linted / the store was published directly.
-  /// Lets replicas surface analyser findings alongside the exact policy
-  /// state they execute.
-  const std::shared_ptr<const analysis::AnalysisReport>& findings() const {
-    return findings_;
-  }
-
  private:
   std::uint64_t version_;
-  std::uint64_t source_revision_;
   std::shared_ptr<core::PolicyStore> store_;
-  std::shared_ptr<const analysis::AnalysisReport> findings_;
 };
 
 /// The single cell through which policy state reaches the runtime.
@@ -98,11 +79,7 @@ class SnapshotPublisher {
  public:
   /// Wraps `store` in the next-versioned snapshot and makes it current.
   /// The caller must not mutate `store` afterwards. Returns the snapshot.
-  /// `findings` optionally carries the issue-time lint report the store
-  /// was built under (publish_from threads it through automatically).
-  std::shared_ptr<const PolicySnapshot> publish(
-      std::shared_ptr<core::PolicyStore> store, std::uint64_t source_revision = 0,
-      std::shared_ptr<const analysis::AnalysisReport> findings = nullptr);
+  std::shared_ptr<const PolicySnapshot> publish(std::shared_ptr<core::PolicyStore> store);
 
   /// Materialises `repository`'s issued policy set (with compiled
   /// artifacts — the repository has already recompiled reference
@@ -116,33 +93,16 @@ class SnapshotPublisher {
   /// The current snapshot, or null before the first publish().
   std::shared_ptr<const PolicySnapshot> current() const;
 
-  /// Version of the current snapshot (0 before the first publish). Lock
-  /// free — the worker batch-boundary staleness probe reads only this.
+  /// Version of the current snapshot (0 before the first publish), which
+  /// is also the number of publications. Lock free — the worker
+  /// batch-boundary staleness probe reads only this.
   std::uint64_t current_version() const {
     return version_.load(std::memory_order_acquire);
   }
 
-  /// Publications are 1:1 with versions (versions start at 1), so this
-  /// is the version counter by another, intent-revealing name.
-  std::uint64_t publications() const { return current_version(); }
-
-  /// Registers a hook invoked after every publish with the new snapshot
-  /// version — the version-based flush signal for *single-consumer*
-  /// caches outside the engine (a PEP-side DecisionCache can
-  /// `evict_older_than(version)` or `invalidate_all()` here). Hooks run
-  /// on the publishing thread, under the publisher's lock: they must be
-  /// cheap, must not throw, and must not call back into this publisher.
-  /// The engine's workers deliberately do NOT use this — each worker
-  /// flushes its own L1 at its batch-boundary adoption, and the shared
-  /// L2 is swept with the *minimum* version any worker still serves
-  /// (flushing at publish time would evict entries that lagging workers
-  /// are still legitimately hitting).
-  void add_publish_hook(std::function<void(std::uint64_t)> hook);
-
  private:
   mutable std::mutex mutex_;
   std::shared_ptr<const PolicySnapshot> current_;
-  std::vector<std::function<void(std::uint64_t)>> hooks_;
   std::atomic<std::uint64_t> version_{0};
 };
 
@@ -164,11 +124,6 @@ class RepositoryPublisher {
 
   pap::RepoOutcome issue(const std::string& policy_id, const std::string& actor);
   pap::RepoOutcome withdraw(const std::string& policy_id, const std::string& actor);
-
-  /// Unconditional republish (e.g. after out-of-band repository edits).
-  std::shared_ptr<const PolicySnapshot> republish() {
-    return publisher_.publish_from(repository_);
-  }
 
   pap::PolicyRepository& repository() { return repository_; }
   SnapshotPublisher& publisher() { return publisher_; }

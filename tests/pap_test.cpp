@@ -12,7 +12,6 @@
 #include "pap/admin_guard.hpp"
 #include "pap/repository.hpp"
 #include "pap/syndication.hpp"
-#include "runtime/snapshot.hpp"
 #include "support/batch_analysis.hpp"
 
 namespace mdac::pap {
@@ -226,10 +225,18 @@ TEST(RepositoryTest, LintOnIssueCanBeDisabled) {
   common::ManualClock clock;
   PapConfig config;
   config.lint_on_issue = false;
+  config.lint_gate = true;  // nothing to gate on with every pass off
   PolicyRepository repo(clock, config);
+  EXPECT_TRUE(repo.lint_report()->ok());  // an empty corpus before any issue
   ASSERT_TRUE(repo.submit(simple_policy_doc("allow-doc", "doc"), "alice"));
   ASSERT_TRUE(repo.issue("allow-doc", "alice"));
-  EXPECT_EQ(repo.lint_report(), nullptr);
+  ASSERT_TRUE(repo.submit(
+      simple_policy_doc("deny-doc", "doc", core::Effect::kDeny), "alice"));
+  ASSERT_TRUE(repo.issue("deny-doc", "alice"));
+  EXPECT_EQ(repo.audit_log().size(), 4u);  // two submits, two issues, no "lint"
+  const auto report = repo.lint_report();
+  EXPECT_EQ(report->error_count, 0u);
+  EXPECT_EQ(report->warning_count, 0u);
 }
 
 /// A policy on `resource` whose second rule repeats the first under
@@ -306,7 +313,6 @@ TEST(RepositoryTest, LintGateRefusalLeavesLintReportUnchanged) {
 TEST(RepositoryTest, WithdrawnPolicyLeavesLintReport) {
   common::ManualClock clock;
   PolicyRepository repo(clock);  // gate off: the conflicting pair issues
-  runtime::SnapshotPublisher publisher;
   ASSERT_TRUE(repo.submit(simple_policy_doc("allow-doc", "doc"), "alice"));
   ASSERT_TRUE(repo.issue("allow-doc", "alice"));
   ASSERT_TRUE(repo.submit(
@@ -319,13 +325,6 @@ TEST(RepositoryTest, WithdrawnPolicyLeavesLintReport) {
   ASSERT_NE(report, nullptr);
   EXPECT_EQ(report->error_count, 0u);
   for (const analysis::Finding& f : report->findings) {
-    EXPECT_NE(f.root_id, "deny-doc") << f.code;
-    EXPECT_NE(f.other_root_id, "deny-doc") << f.code;
-  }
-  // The next publication ships the report without it.
-  const auto snapshot = publisher.publish_from(repo);
-  ASSERT_NE(snapshot->findings(), nullptr);
-  for (const analysis::Finding& f : snapshot->findings()->findings) {
     EXPECT_NE(f.root_id, "deny-doc") << f.code;
     EXPECT_NE(f.other_root_id, "deny-doc") << f.code;
   }
@@ -510,6 +509,56 @@ TEST(RepositoryTest, ReferencedPolicyUpdateRecompilesDependentSets) {
   ASSERT_EQ(repo.load_into(store.get()), 3u);
   core::Pdp pdp(store);
   EXPECT_TRUE(pdp.evaluate(core::RequestContext::make("u", "doc", "read")).is_deny());
+}
+
+TEST(RepositoryTest, ReferenceChainRecompilesEveryLevelInOrder) {
+  // set-c references set-b, which references policy-a: a change to
+  // policy-a reaches set-c only through set-b's reverse edge.
+  common::ManualClock clock;
+  PolicyRepository repo(clock);
+  ASSERT_TRUE(repo.submit(simple_policy_doc("policy-a", "doc"), "a"));
+  ASSERT_TRUE(repo.issue("policy-a", "a"));
+  ASSERT_TRUE(repo.submit(referencing_set_doc("set-b", {"policy-a"}), "a"));
+  ASSERT_TRUE(repo.issue("set-b", "a"));
+  ASSERT_TRUE(repo.submit(referencing_set_doc("set-c", {"set-b"}), "a"));
+  ASSERT_TRUE(repo.issue("set-c", "a"));
+
+  // The audit entries appended since `mark`, as "operation id".
+  using Log = std::vector<std::string>;
+  const auto since = [&](std::size_t mark) {
+    Log out;
+    for (std::size_t i = mark; i < repo.audit_log().size(); ++i) {
+      out.push_back(repo.audit_log()[i].operation + " " + repo.audit_log()[i].policy_id);
+    }
+    return out;
+  };
+
+  auto b = repo.compiled("set-b");
+  auto c = repo.compiled("set-c");
+  std::size_t mark = repo.audit_log().size();
+  ASSERT_TRUE(repo.submit(simple_policy_doc("policy-a", "doc", core::Effect::kDeny), "a"));
+  ASSERT_TRUE(repo.issue("policy-a", "a"));
+  EXPECT_EQ(since(mark), (Log{"submit policy-a", "issue policy-a", "recompile set-b",
+                              "recompile set-c"}));
+  EXPECT_NE(repo.compiled("set-b"), b);
+  EXPECT_NE(repo.compiled("set-c"), c);
+
+  b = repo.compiled("set-b");
+  c = repo.compiled("set-c");
+  mark = repo.audit_log().size();
+  ASSERT_TRUE(repo.withdraw("policy-a", "a"));
+  EXPECT_EQ(since(mark), (Log{"withdraw policy-a", "recompile set-b", "recompile set-c"}));
+  EXPECT_NE(repo.compiled("set-b"), b);
+  EXPECT_NE(repo.compiled("set-c"), c);
+
+  b = repo.compiled("set-b");
+  c = repo.compiled("set-c");
+  mark = repo.audit_log().size();
+  ASSERT_TRUE(repo.submit(simple_policy_doc("unrelated", "other"), "a"));
+  ASSERT_TRUE(repo.issue("unrelated", "a"));
+  EXPECT_EQ(since(mark), (Log{"submit unrelated", "issue unrelated"}));
+  EXPECT_EQ(repo.compiled("set-b"), b);
+  EXPECT_EQ(repo.compiled("set-c"), c);
 }
 
 TEST(RepositoryTest, WithdrawnReferenceRecompilesWithDiagnostics) {

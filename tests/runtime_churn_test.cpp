@@ -244,7 +244,7 @@ TEST(RuntimeChurnTest, RepositoryLifecycleChurnsThroughPublisher) {
   engine.shutdown();
   EXPECT_EQ(engine.metrics().sheds(), 0u);
   // issue-republications + withdraw-republication all went through.
-  EXPECT_EQ(snapshots.publications(), static_cast<std::uint64_t>(kVersions) + 1);
+  EXPECT_EQ(snapshots.current_version(), static_cast<std::uint64_t>(kVersions) + 1);
   (void)not_applicable;
 }
 
@@ -345,7 +345,7 @@ TEST(RuntimeChurnTest, ReferencedPolicyChurnThroughCompiledSets) {
   engine.shutdown();
   EXPECT_EQ(engine.metrics().sheds(), 0u);
   // 2 setup publications + (kVersions - 1) re-issues + 1 withdrawal.
-  EXPECT_EQ(snapshots.publications(), static_cast<std::uint64_t>(kVersions) + 2);
+  EXPECT_EQ(snapshots.current_version(), static_cast<std::uint64_t>(kVersions) + 2);
 }
 
 TEST(RuntimeChurnTest, TwoLevelCacheNeverServesAStaleDecisionUnderChurn) {

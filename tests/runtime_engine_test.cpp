@@ -72,10 +72,9 @@ TEST(SnapshotPublisherTest, VersionsAreMonotonicAndCurrentTracksLatest) {
   EXPECT_EQ(s1->version(), 1u);
   EXPECT_EQ(s2->version(), 2u);
   EXPECT_EQ(publisher.current_version(), 2u);
-  EXPECT_EQ(publisher.current()->policy_count(), 8u);
-  EXPECT_EQ(publisher.publications(), 2u);
+  EXPECT_EQ(publisher.current()->store()->size(), 8u);
   // The replaced snapshot stays alive for its holders (RCU grace).
-  EXPECT_EQ(s1->policy_count(), 4u);
+  EXPECT_EQ(s1->store()->size(), 4u);
 }
 
 TEST(SnapshotPublisherTest, PublishFromRepositoryCarriesCompiledArtifacts) {
@@ -92,8 +91,7 @@ TEST(SnapshotPublisherTest, PublishFromRepositoryCarriesCompiledArtifacts) {
 
   SnapshotPublisher publisher;
   auto snapshot = publisher.publish_from(repo);
-  EXPECT_EQ(snapshot->policy_count(), 1u);
-  EXPECT_EQ(snapshot->source_revision(), repo.revision());
+  EXPECT_EQ(snapshot->store()->size(), 1u);
   // The snapshot's store shares the PAP's compile-on-issue artifact.
   EXPECT_EQ(snapshot->store()->compiled("p1"), repo.compiled("p1"));
 }
@@ -1007,42 +1005,6 @@ TEST(DecisionEngineTest, PinWorkersPinsWhenCoresSuffice) {
 #else
   EXPECT_EQ(engine.workers_pinned(), 0u);  // graceful platform no-op
 #endif
-}
-
-// ---------------------------------------------------------------------
-// Publish hook: the version-based flush signal for PEP-side caches
-// ---------------------------------------------------------------------
-
-TEST(SnapshotPublisherTest, PublishHooksSeeEveryVersionInOrder) {
-  SnapshotPublisher publisher;
-  std::vector<std::uint64_t> seen;
-  publisher.add_publish_hook([&](std::uint64_t v) { seen.push_back(v); });
-  publisher.publish(bench::make_policy_store(2));
-  publisher.publish(bench::make_policy_store(2));
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2}));
-}
-
-TEST(SnapshotPublisherTest, PublishHookFlushesAPepSideDecisionCache) {
-  // A PEP-side cache (CachingEvaluator stores under version 0) wired to
-  // drop stale decisions whenever policy is republished — the
-  // single-consumer flush shape the hook exists for.
-  cache::DecisionCache cache(cache::DecisionCache::TwoLevelConfig{.capacity = 64});
-  SnapshotPublisher publisher;
-  publisher.add_publish_hook(
-      [&cache](std::uint64_t version) { cache.evict_older_than(version); });
-
-  std::size_t evaluations = 0;
-  cache::CachingEvaluator evaluator(cache, [&](const core::RequestContext&) {
-    ++evaluations;
-    return core::Decision::permit();
-  });
-  evaluator(probe_request());
-  evaluator(probe_request());
-  EXPECT_EQ(evaluations, 1u);  // second call was a cache hit
-
-  publisher.publish(bench::make_policy_store(2));  // version 1 > 0: flushed
-  evaluator(probe_request());
-  EXPECT_EQ(evaluations, 2u);  // re-evaluated against the new policy
 }
 
 // ---------------------------------------------------------------------
